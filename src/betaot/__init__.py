@@ -43,7 +43,6 @@ from .potentials import (
     squared_euclidean,
 )
 from .projections import (
-    DualState,
     apply_col,
     apply_row,
     clamp_dual,
@@ -74,7 +73,6 @@ __all__ = [
     "DetectionMetrics",
     "DimensionMismatchError",
     "DomainError",
-    "DualState",
     "ExactSolution",
     "FormatError",
     "InfeasibleToleranceError",

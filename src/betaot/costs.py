@@ -13,7 +13,12 @@ import math
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import AutoScaleError, DimensionMismatchError
+from .errors import (
+    AutoScaleError,
+    BudgetExhaustedError,
+    DimensionMismatchError,
+    InfeasibleToleranceError,
+)
 from .solver import SolverConfig, iteration_budget
 
 # Offset added to the inverted budget target so the re-evaluated bound
@@ -110,7 +115,7 @@ def auto_scale(cost, z: float, cfg: SolverConfig, target_range: tuple[int, int])
     try:
         if lo <= iteration_budget(z, cfg, m, n).budget <= hi:
             return 1.0, gamma, z
-    except (ValueError, ArithmeticError):
+    except (InfeasibleToleranceError, BudgetExhaustedError):
         pass
 
     beta, lam = cfg.beta, cfg.lam
@@ -122,7 +127,7 @@ def auto_scale(cost, z: float, cfg: SolverConfig, target_range: tuple[int, int])
             continue
         try:
             budget = iteration_budget(s * z, cfg, m, n).budget
-        except (ValueError, ArithmeticError):
+        except (InfeasibleToleranceError, BudgetExhaustedError):
             continue
         if lo <= budget <= hi:
             return s, s * gamma, s * z

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import TransportPlan
+from .solver import _plan_matrix
 
 ZERO_COLUMN = "zero_column"
 BASELINE = "baseline"
@@ -33,11 +33,6 @@ class DetectionMetrics:
 
     outlier_recall: float
     inlier_specificity: float
-
-
-def _plan_matrix(plan) -> np.ndarray:
-    pi = plan.pi if isinstance(plan, TransportPlan) else plan
-    return np.asarray(pi, dtype=float)
 
 
 def detect_outliers(plan, eps_zero: float = 1e-12, params: dict | None = None) -> OutlierReport:

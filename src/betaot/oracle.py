@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import SizeError
@@ -53,12 +54,15 @@ def exact_ot(cost) -> ExactSolution:
 
 def _exact_ot_lp(gamma: np.ndarray) -> ExactSolution:
     m, n = gamma.shape
-    # Row-sum and column-sum equality constraints on the flattened plan.
-    a_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        a_eq[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n):
-        a_eq[m + j, j::n] = 1.0
+    # Row-sum and column-sum equality constraints on the flattened plan,
+    # sparse: 2mn nonzeros instead of a dense (m+n) x mn matrix.
+    a_eq = sparse.vstack(
+        [
+            sparse.kron(sparse.eye(m), np.ones((1, n))),
+            sparse.kron(np.ones((1, m)), sparse.eye(n)),
+        ],
+        format="csr",
+    )
     b_eq = np.concatenate([np.full(m, 1.0 / m), np.full(n, 1.0 / n)])
     res = linprog(gamma.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:

@@ -141,20 +141,26 @@ def phi_prime(p, pot: Potential):
     return _scalar_or_array(out, p)
 
 
-def _beta_conjugate_base(t_arr, pot: Potential):
-    """Base ``(beta-1)*t + 1`` with the boundary pinned to exactly zero.
+def _beta_active(t_arr, pot: Potential):
+    """Flat indices of the entries off the conjugate boundary, and their base.
 
-    Raises below the conjugate domain.  At ``t == domain_lower_dual`` the
-    base is forced to 0.0 so that downstream powers are bit-exact zero;
-    slightly-above-boundary values that round negative are floored at 0.
+    The base ``(beta-1)*t + 1`` is floored at 0 where a slightly-above-
+    boundary value rounds negative.  Entries exactly on the boundary map
+    to exactly zero in every derivative, so callers start from zeros and
+    raise a power only at the returned indices: the result is
+    bit-identical to evaluating the whole array.  Raises below the
+    conjugate domain; such entries are off the boundary, so checking the
+    active entries checks them all.
     """
     lo = pot.domain_lower_dual
-    if np.any(t_arr < lo):
+    active = np.flatnonzero(t_arr != lo)
+    t_active = np.take(t_arr, active)
+    if np.any(t_active < lo):
         raise DomainError(
             f"conjugate derivative undefined below {lo} for beta={pot.beta}"
         )
-    base = np.maximum((pot.beta - 1.0) * t_arr + 1.0, 0.0)
-    return np.where(t_arr == lo, 0.0, base)
+    base = np.maximum((pot.beta - 1.0) * t_active + 1.0, 0.0)
+    return active, base
 
 
 def psi_prime(t, pot: Potential):
@@ -166,8 +172,9 @@ def psi_prime(t, pot: Potential):
     """
     t_arr = _as_float_array(t)
     if pot.kind == BETA:
-        base = _beta_conjugate_base(t_arr, pot)
-        out = base ** (1.0 / (pot.beta - 1.0))
+        active, base = _beta_active(t_arr, pot)
+        out = np.zeros(t_arr.shape)
+        np.put(out, active, base ** (1.0 / (pot.beta - 1.0)))
     elif pot.kind == SHANNON:
         out = np.exp(t_arr)
     else:
@@ -185,11 +192,12 @@ def psi_second(t, pot: Potential):
     """
     t_arr = _as_float_array(t)
     if pot.kind == BETA:
-        base = _beta_conjugate_base(t_arr, pot)
+        active, base = _beta_active(t_arr, pot)
         exponent = (2.0 - pot.beta) / (pot.beta - 1.0)
         with np.errstate(divide="ignore"):
             powered = np.power(base, exponent)
-        out = np.where(base > 0.0, powered, 0.0)
+        out = np.zeros(t_arr.shape)
+        np.put(out, active, np.where(base > 0.0, powered, 0.0))
     elif pot.kind == SHANNON:
         out = np.exp(t_arr)
     else:
@@ -202,13 +210,20 @@ def psi_pair(t_arr: np.ndarray, pot: Potential):
 
     Shares the base computation between the two derivatives (for the beta
     kind, ``psi_second = psi_prime / base`` exactly), which matters inside
-    solver loops that need both on full matrices every iteration.
+    solver loops that need both on full matrices every iteration.  For
+    the beta kind the power is raised only on entries off the boundary;
+    the outputs stay dense, with exact zeros on the boundary, so row and
+    column sums over them reduce in the same order as a full evaluation.
     """
     if pot.kind == BETA:
-        base = _beta_conjugate_base(t_arr, pot)
-        ps = base ** (1.0 / (pot.beta - 1.0))
+        t_arr = _as_float_array(t_arr)
+        active, base = _beta_active(t_arr, pot)
+        powered = base ** (1.0 / (pot.beta - 1.0))
+        ps = np.zeros(t_arr.shape)
+        pss = np.zeros(t_arr.shape)
+        np.put(ps, active, powered)
         with np.errstate(divide="ignore", invalid="ignore"):
-            pss = np.where(base > 0.0, ps / base, 0.0)
+            np.put(pss, active, np.where(base > 0.0, powered / base, 0.0))
         return ps, pss
     if pot.kind == SHANNON:
         e = np.exp(t_arr)

@@ -12,8 +12,6 @@ Row subproblems are independent of one another, as are column
 subproblems, so vectorizing over rows/columns is safe.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .potentials import Potential, phi_prime, psi_pair
@@ -23,23 +21,6 @@ from .potentials import Potential, phi_prime, psi_pair
 # bound (the value an infinite Newton step would be truncated to), which
 # re-admits mass at the bounded per-iteration rate the budget accounts for.
 EPS_DENOMINATOR = 1e-12
-
-
-@dataclass
-class DualState:
-    """Running dual matrix and its clamped image.
-
-    ``theta_tilde`` accumulates the raw row/column corrections and may sink
-    below the conjugate domain; ``theta_star`` is its element-wise maximum
-    with the clamp bound and is the matrix all evaluations go through.
-    """
-
-    theta_tilde: np.ndarray
-    theta_star: np.ndarray
-
-    @property
-    def shape(self):
-        return self.theta_tilde.shape
 
 
 def clamp_dual(theta_tilde, pot: Potential):

@@ -14,8 +14,9 @@ Three solvers share the dual-coordinate machinery:
   beta loop deviates from.
 
 All solvers return a :class:`TransportPlan` carrying the plan, its cost
-value, L1 marginal residuals, and the iteration count.  Solves own their
-dual state exclusively; concurrent solves share nothing.
+value, L1 marginal residuals, and the iteration count.  Solves mutate
+only the dual buffers they allocate, never their inputs; concurrent
+solves share nothing.
 """
 
 import math
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import (
     BudgetExhaustedError,
     DimensionMismatchError,
+    DomainError,
     InfeasibleToleranceError,
     NumericalUnderflowError,
     UnsupportedGeneratorError,
@@ -119,6 +121,8 @@ def iteration_budget(z: float, cfg: SolverConfig, m: int, n: int) -> IterationBu
 
     Raises
     ------
+    DomainError
+        If ``beta <= 1`` or ``lam <= 0``, where the bound is undefined.
     InfeasibleToleranceError
         If ``z <= lam / (beta - 1)``, where the bound is nonpositive.
     BudgetExhaustedError
@@ -126,6 +130,10 @@ def iteration_budget(z: float, cfg: SolverConfig, m: int, n: int) -> IterationBu
         ``costs.auto_scale``).
     """
     beta, lam = cfg.beta, cfg.lam
+    if not beta > 1.0:
+        raise DomainError(f"the iteration budget requires beta > 1, got {beta}")
+    if not lam > 0.0:
+        raise DomainError(f"the iteration budget requires lambda > 0, got {lam}")
     if z <= lam / (beta - 1.0):
         raise InfeasibleToleranceError(
             f"tolerance z={z} must exceed lambda/(beta-1)={lam / (beta - 1.0)}"
@@ -169,18 +177,21 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     pot = beta_potential(cfg.beta)
     iterations = _resolve_iterations(cfg, m, n)
 
+    # Both dual buffers are allocated here (init_dual returns a fresh
+    # array), so the apply and clamp steps update them in place.
     theta_tilde = init_dual(gamma, cfg.lam)
     theta_star = clamp_dual(theta_tilde, pot)
+    bound = pot.clamp_bound
     for _ in range(iterations):
         tau = row_newton_decrement(theta_star, pot, m)
         tau = truncate_row_decrement(tau, theta_star, pot, m)
-        theta_tilde = apply_row(theta_tilde, tau)
-        theta_star = clamp_dual(theta_tilde, pot)
+        theta_tilde -= tau[:, None]
+        np.maximum(theta_tilde, bound, out=theta_star)
 
         sigma = col_newton_decrement(theta_star, pot, n)
         sigma = truncate_col_decrement(sigma, theta_star, pot, n)
-        theta_tilde = apply_col(theta_tilde, sigma)
-        theta_star = clamp_dual(theta_tilde, pot)
+        theta_tilde -= sigma[None, :]
+        np.maximum(theta_tilde, bound, out=theta_star)
 
     pi = psi_prime(theta_star, pot)
     row_res, col_res = marginal_residuals(pi, m, n)

@@ -87,6 +87,14 @@ class TestDistance:
                        "--beta", 2.0, "--lambda", 1.0, "--z", 1.0)
         assert code == 3
 
+    @pytest.mark.parametrize("beta", ["1", "0.5"])
+    def test_beta_outside_domain_exits_two(self, tmp_path, capsys, beta):
+        f = tmp_path / "a.csv"
+        write_point_cloud(f, np.random.default_rng(8).standard_normal((6, 2)))
+        assert run_cli("distance", "--x", f, "--y", f, "--beta", beta) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_file_exits_two(self, tmp_path):
         assert run_cli("distance", "--x", tmp_path / "nope.csv",
                        "--y", tmp_path / "nope.csv", "--mode", "exact") == 2

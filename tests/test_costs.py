@@ -7,6 +7,7 @@ from betaot import (
     AutoScaleError,
     BudgetExhaustedError,
     DimensionMismatchError,
+    DomainError,
     InfeasibleToleranceError,
     SolverConfig,
     auto_scale,
@@ -170,6 +171,10 @@ class TestAutoScale:
             gamma = np.zeros((m, n))
             scale, _, scaled_z = auto_scale(gamma, z, cfg, (1, 19))
             assert 1 <= iteration_budget(scaled_z, cfg, m, n).budget <= 19
+
+    def test_beta_outside_domain_is_not_an_auto_scale_failure(self):
+        with pytest.raises(DomainError):
+            auto_scale(np.zeros((4, 4)), 5.0, SolverConfig(beta=1.0), (1, 19))
 
     def test_bad_inputs(self):
         cfg = SolverConfig(beta=1.2, lam=2.0)

@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from betaot import SizeError, exact_ot, exact_ot_bruteforce, sinkhorn_solve, transport_value
+from betaot import (
+    SizeError,
+    exact_ot,
+    exact_ot_bruteforce,
+    oracle,
+    sinkhorn_solve,
+    transport_value,
+)
 
 
 class TestExamples:
@@ -61,6 +69,24 @@ class TestPlanFeasibility:
         np.testing.assert_allclose(sol.plan.sum(axis=0), 1.0 / 7, atol=1e-9)
         assert np.all(sol.plan >= -1e-12)
         assert sol.value == pytest.approx(transport_value(sol.plan, gamma), abs=1e-9)
+
+    def test_rectangular_lp_constraints_are_sparse(self, monkeypatch):
+        m, n = 3, 5
+        captured = {}
+
+        def stop_at_linprog(c, A_eq, **kwargs):
+            captured["a_eq"] = A_eq
+            raise StopIteration
+
+        monkeypatch.setattr(oracle, "linprog", stop_at_linprog)
+        with pytest.raises(StopIteration):
+            exact_ot(np.zeros((m, n)))
+        dense = np.zeros((m + n, m * n))
+        for i in range(m):
+            for j in range(n):
+                dense[i, i * n + j] = dense[m + j, i * n + j] = 1.0
+        assert sparse.issparse(captured["a_eq"])
+        np.testing.assert_array_equal(captured["a_eq"].toarray(), dense)
 
     def test_lower_bound_against_feasible_scaling_plans(self):
         rng = np.random.default_rng(104)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from dense_reference import dense_psi_pair, dense_psi_prime, dense_psi_second
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betaot import (
     DomainError,
@@ -165,6 +168,34 @@ class TestConjugateDuality:
             ps, pss = psi_pair(t, pot)
             np.testing.assert_allclose(ps, psi_prime(t, pot), rtol=1e-14, atol=1e-300)
             np.testing.assert_allclose(pss, psi_second(t, pot), rtol=1e-12, atol=1e-300)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        beta=st.floats(1.05, 3.0, exclude_min=True),
+        shape=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_psi_pair_bit_identical_on_boundary_mixtures(self, beta, shape, seed):
+        pot = beta_potential(beta)
+        lo = pot.domain_lower_dual
+        rng = np.random.default_rng(seed)
+        kind = rng.integers(0, 3, size=shape)
+        just_above = lo + abs(np.spacing(lo)) * rng.integers(1, 64, size=shape)
+        ordinary = lo + rng.exponential(3.0, size=shape)
+        t = np.where(kind == 0, lo, np.where(kind == 1, just_above, ordinary))
+        ps, pss = psi_pair(t, pot)
+        dense_ps, dense_pss = dense_psi_pair(t, pot)
+        assert np.array_equal(ps, dense_ps)
+        assert np.array_equal(pss, dense_pss)
+        assert np.array_equal(ps, psi_prime(t, pot))
+        assert np.array_equal(psi_prime(t, pot), dense_psi_prime(t, pot))
+        # psi_pair takes psi'' as psi'/base and psi_second as a power of its
+        # own, equal only in exact arithmetic: each matches its dense form.
+        assert np.array_equal(psi_second(t, pot), dense_psi_second(t, pot))
+        assert np.all(ps[kind == 0] == 0.0) and np.all(pss[kind == 0] == 0.0)
+        t.flat[0] = np.nextafter(lo, -np.inf)
+        with pytest.raises(DomainError):
+            psi_pair(t, pot)
 
 
 class TestBregmanDivergence:

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from dense_reference import dense_robust_solve
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from betaot import (
     BudgetExhaustedError,
     DimensionMismatchError,
+    DomainError,
     InfeasibleToleranceError,
     NumericalUnderflowError,
     SolverConfig,
@@ -73,6 +77,11 @@ class TestIterationBudget:
         # z barely above lam/(beta-1): bound positive but < 1
         with pytest.raises(BudgetExhaustedError):
             iteration_budget(10.5, cfg, 10, 10)
+
+    @pytest.mark.parametrize("beta, lam", [(1.0, 2.0), (0.5, 2.0), (1.2, 0.0), (1.2, -1.0)])
+    def test_beta_and_lambda_outside_domain_raise(self, beta, lam):
+        with pytest.raises(DomainError):
+            iteration_budget(100.0, SolverConfig(beta=beta, lam=lam), 10, 10)
 
 
 class TestRobustSolve:
@@ -248,3 +257,52 @@ class TestDiagnostics:
         one_dead_column = np.array([[0.25, 0.0], [0.25, 0.0]])
         _, col = marginal_residuals(one_dead_column, 2, 2)
         assert col == 0.5  # the missing column contributes exactly 1/n
+
+
+@st.composite
+def robust_instances(draw):
+    """Random (beta, lam, T, cost) with some columns at or above a tolerance z."""
+    beta = draw(st.floats(1.05, 3.0, exclude_min=True))
+    lam = draw(st.floats(0.01, 50.0))
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 40))
+    iterations = draw(st.integers(1, 15))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = lam / (beta - 1.0) * draw(st.floats(0.5, 30.0))
+    gamma = rng.uniform(0.0, z, size=(m, n))
+    far = rng.random(n) < draw(st.floats(0.0, 0.6))
+    gamma[:, far] = z * rng.uniform(1.0, 3.0, size=(m, int(far.sum())))
+    gamma[0, far] = z
+    return beta, lam, iterations, gamma, z
+
+
+class TestRobustSolveMatchesDenseLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(robust_instances())
+    def test_bit_identical_to_dense_evaluation(self, instance):
+        beta, lam, iterations, gamma, _ = instance
+        pi, value = dense_robust_solve(gamma, beta, lam, iterations)
+        plan = robust_solve(gamma, SolverConfig(beta=beta, lam=lam, iterations=iterations))
+        assert np.array_equal(plan.pi, pi)
+        assert plan.value == value
+
+    @settings(max_examples=50, deadline=None)
+    @given(robust_instances())
+    def test_cost_argument_left_unmodified(self, instance):
+        beta, lam, iterations, gamma, _ = instance
+        before = gamma.copy()
+        robust_solve(gamma, SolverConfig(beta=beta, lam=lam, iterations=iterations))
+        assert np.array_equal(gamma, before)
+
+    @settings(max_examples=150, deadline=None)
+    @given(robust_instances())
+    def test_columns_at_or_above_z_get_exact_zero_within_budget(self, instance):
+        beta, lam, iterations, gamma, z = instance
+        cfg = SolverConfig(beta=beta, lam=lam)
+        try:
+            budget = iteration_budget(z, cfg, *gamma.shape).budget
+        except (InfeasibleToleranceError, BudgetExhaustedError):
+            assume(False)
+        cfg.iterations = min(iterations, budget)
+        far = gamma.min(axis=0) >= z
+        assert np.all(robust_solve(gamma, cfg).pi[:, far] == 0.0)
