@@ -5,8 +5,12 @@ The source histogram holds 495 standard-normal samples plus 5 points
 pinned at 70; the target histogram holds 500 standard-normal samples.
 Solving on the transposed cost within the iteration budget for z = 1000
 sends exactly zero mass from the 5 outlier rows.  The plan is written as
-dense CSV (sorted by sample position) ready for external heatmap tooling.
+dense CSV (sorted by sample position) ready for external heatmap tooling,
+into a fresh temporary directory whose path is printed.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +39,7 @@ print("largest plan entry:", plan.max())
 print("row residual:", round(plan_t.col_residual_l1, 6),
       " column residual:", round(plan_t.row_residual_l1, 6))
 
-write_matrix("heatmap_plan.csv", plan)
-print("dense plan written to heatmap_plan.csv "
+out_path = Path(tempfile.mkdtemp(prefix="betaot-heatmap-")) / "heatmap_plan.csv"
+write_matrix(out_path, plan)
+print(f"dense plan written to {out_path} "
       f"({plan.shape[0]} source rows x {plan.shape[1]} target columns)")

@@ -147,20 +147,33 @@ def _beta_active(t_arr, pot: Potential):
     The base ``(beta-1)*t + 1`` is floored at 0 where a slightly-above-
     boundary value rounds negative.  Entries exactly on the boundary map
     to exactly zero in every derivative, so callers start from zeros and
-    raise a power only at the returned indices: the result is
-    bit-identical to evaluating the whole array.  Raises below the
-    conjugate domain; such entries are off the boundary, so checking the
-    active entries checks them all.
+    raise a power only at the returned indices (see :func:`_dense`): the
+    result is bit-identical to evaluating the whole array.  The indices
+    are None when no entry is on the boundary, as for the gathered active
+    entries the robust solver passes, and the base then covers every
+    entry in C order without a gather.  Raises below the conjugate domain;
+    such entries are off the boundary, so checking the active entries
+    checks them all.
     """
     lo = pot.domain_lower_dual
-    active = np.flatnonzero(t_arr != lo)
-    t_active = np.take(t_arr, active)
+    off = t_arr != lo
+    active = None if off.all() else np.flatnonzero(off)
+    t_active = t_arr.ravel() if active is None else np.take(t_arr, active)
     if np.any(t_active < lo):
         raise DomainError(
             f"conjugate derivative undefined below {lo} for beta={pot.beta}"
         )
     base = np.maximum((pot.beta - 1.0) * t_active + 1.0, 0.0)
     return active, base
+
+
+def _dense(values, active, shape):
+    """``values`` at the ``active`` flat indices, exact zeros elsewhere."""
+    if active is None:
+        return values.reshape(shape)
+    out = np.zeros(shape)
+    np.put(out, active, values)
+    return out
 
 
 def psi_prime(t, pot: Potential):
@@ -173,8 +186,7 @@ def psi_prime(t, pot: Potential):
     t_arr = _as_float_array(t)
     if pot.kind == BETA:
         active, base = _beta_active(t_arr, pot)
-        out = np.zeros(t_arr.shape)
-        np.put(out, active, base ** (1.0 / (pot.beta - 1.0)))
+        out = _dense(base ** (1.0 / (pot.beta - 1.0)), active, t_arr.shape)
     elif pot.kind == SHANNON:
         out = np.exp(t_arr)
     else:
@@ -196,8 +208,7 @@ def psi_second(t, pot: Potential):
         exponent = (2.0 - pot.beta) / (pot.beta - 1.0)
         with np.errstate(divide="ignore"):
             powered = np.power(base, exponent)
-        out = np.zeros(t_arr.shape)
-        np.put(out, active, np.where(base > 0.0, powered, 0.0))
+        out = _dense(np.where(base > 0.0, powered, 0.0), active, t_arr.shape)
     elif pot.kind == SHANNON:
         out = np.exp(t_arr)
     else:
@@ -210,21 +221,20 @@ def psi_pair(t_arr: np.ndarray, pot: Potential):
 
     Shares the base computation between the two derivatives (for the beta
     kind, ``psi_second = psi_prime / base`` exactly), which matters inside
-    solver loops that need both on full matrices every iteration.  For
-    the beta kind the power is raised only on entries off the boundary;
-    the outputs stay dense, with exact zeros on the boundary, so row and
-    column sums over them reduce in the same order as a full evaluation.
+    solver loops that need both every iteration.  For the beta kind the
+    power is raised only on entries off the boundary; the outputs keep the
+    input's shape, with exact zeros on the boundary, so row and column
+    sums over them reduce in the same order as a full evaluation.  An
+    input with no boundary entry (the robust solver passes the gathered
+    active entries of its dual) is evaluated without a gather or scatter.
     """
     if pot.kind == BETA:
         t_arr = _as_float_array(t_arr)
         active, base = _beta_active(t_arr, pot)
         powered = base ** (1.0 / (pot.beta - 1.0))
-        ps = np.zeros(t_arr.shape)
-        pss = np.zeros(t_arr.shape)
-        np.put(ps, active, powered)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.put(pss, active, np.where(base > 0.0, powered / base, 0.0))
-        return ps, pss
+            quotient = np.where(base > 0.0, powered / base, 0.0)
+        return _dense(powered, active, t_arr.shape), _dense(quotient, active, t_arr.shape)
     if pot.kind == SHANNON:
         e = np.exp(t_arr)
         return e, e

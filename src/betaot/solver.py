@@ -5,7 +5,12 @@ Three solvers share the dual-coordinate machinery:
 - :func:`robust_solve` runs the truncated single-Newton-step alternating
   scaling loop for the beta potential.  Run for at most
   :func:`iteration_budget` iterations it provably sends zero mass to any
-  column whose costs all exceed the tolerance ``z``.
+  column whose costs all exceed the tolerance ``z``.  It keeps one dual
+  matrix and clamps it implicitly: an entry at or below the clamp bound
+  is clamped, maps to exactly zero mass and costs no arithmetic.  The
+  solve owns three m x n buffers, the dual and the ``psi'``/``psi''``
+  matrices, and each half-step rewrites only the entries that were or
+  are active.
 - :func:`sinkhorn_solve` is the classical kernel-space scaling method for
   the Shannon entropy (with an explicit log-space variant).
 - :func:`nasa_solve` is the generic alternating-projection loop with inner
@@ -33,16 +38,7 @@ from .errors import (
     UnsupportedGeneratorError,
 )
 from .potentials import Potential, beta_potential, psi_pair, psi_prime
-from .projections import (
-    EPS_DENOMINATOR,
-    apply_col,
-    apply_row,
-    clamp_dual,
-    col_newton_decrement,
-    row_newton_decrement,
-    truncate_col_decrement,
-    truncate_row_decrement,
-)
+from .projections import clamp_dual, newton_quotient, truncated_decrement
 
 NASA_INNER_TOL = 1e-12
 NASA_INNER_CAP = 100
@@ -122,7 +118,8 @@ def iteration_budget(z: float, cfg: SolverConfig, m: int, n: int) -> IterationBu
     Raises
     ------
     DomainError
-        If ``beta <= 1`` or ``lam <= 0``, where the bound is undefined.
+        If ``beta <= 1`` or ``lam <= 0``, where the bound is undefined, or
+        if ``z`` or the bound is not finite (``z/lam`` can overflow).
     InfeasibleToleranceError
         If ``z <= lam / (beta - 1)``, where the bound is nonpositive.
     BudgetExhaustedError
@@ -134,12 +131,19 @@ def iteration_budget(z: float, cfg: SolverConfig, m: int, n: int) -> IterationBu
         raise DomainError(f"the iteration budget requires beta > 1, got {beta}")
     if not lam > 0.0:
         raise DomainError(f"the iteration budget requires lambda > 0, got {lam}")
+    if not math.isfinite(z):
+        raise DomainError(f"the iteration budget requires a finite z, got {z}")
     if z <= lam / (beta - 1.0):
         raise InfeasibleToleranceError(
             f"tolerance z={z} must exceed lambda/(beta-1)={lam / (beta - 1.0)}"
         )
     decrement_sum = (1.0 / m) ** (beta - 1.0) + (1.0 / n) ** (beta - 1.0)
     t_max_real = ((z / lam) * (beta - 1.0) - 1.0) / decrement_sum
+    if not math.isfinite(t_max_real):
+        raise DomainError(
+            f"the iteration bound for z={z}, lambda={lam} is not finite; "
+            "rescale the cost and z (see auto_scale)"
+        )
     budget = math.ceil(t_max_real) - 1
     if budget < 1:
         raise BudgetExhaustedError(
@@ -167,6 +171,12 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     column Newton step, truncation, update, clamp) and maps the clamped
     dual back to the primal plan.  Deterministic for fixed inputs.
 
+    The clamp is implicit (see the module docstring): the conjugate is
+    evaluated on the active entries only, and row and column sums reduce
+    dense ``psi'``/``psi''`` buffers with exact zeros at the clamped
+    entries, so the plan is bit-identical to clamping a copy of the dual
+    and evaluating the conjugate on all of it.
+
     The output is an intermediate iterate on purpose: it is generally
     infeasible (nonzero marginal residuals) but, within the iteration
     budget for a tolerance z, provably transports no mass to columns
@@ -177,23 +187,29 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     pot = beta_potential(cfg.beta)
     iterations = _resolve_iterations(cfg, m, n)
 
-    # Both dual buffers are allocated here (init_dual returns a fresh
-    # array), so the apply and clamp steps update them in place.
-    theta_tilde = init_dual(gamma, cfg.lam)
-    theta_star = clamp_dual(theta_tilde, pot)
+    # One dual matrix (init_dual returns a fresh array), clamped
+    # implicitly: entries at or below the bound are the clamped ones.
+    # C order makes the flat views below views, not copies.
+    theta = np.ascontiguousarray(init_dual(gamma, cfg.lam))
     bound = pot.clamp_bound
+    ps, pss = np.zeros((m, n)), np.zeros((m, n))
+    # Flat views of the three buffers for the gather and the scatters.
+    theta_flat, ps_flat, pss_flat = theta.reshape(-1), ps.reshape(-1), pss.reshape(-1)
+    active = np.empty(0, dtype=np.intp)
     for _ in range(iterations):
-        tau = row_newton_decrement(theta_star, pot, m)
-        tau = truncate_row_decrement(tau, theta_star, pot, m)
-        theta_tilde -= tau[:, None]
-        np.maximum(theta_tilde, bound, out=theta_star)
+        for axis, size in ((1, m), (0, n)):
+            # psi'/psi'' of the clamped dual are zero off the active set,
+            # so only the previous and the new active entries are written.
+            ps_flat[active] = 0.0
+            pss_flat[active] = 0.0
+            active = np.flatnonzero(theta > bound)
+            ps_flat[active], pss_flat[active] = psi_pair(theta_flat[active], pot)
+            step = truncated_decrement(theta, ps, pss, pot, axis, size)
+            theta -= np.expand_dims(step, axis)
 
-        sigma = col_newton_decrement(theta_star, pot, n)
-        sigma = truncate_col_decrement(sigma, theta_star, pot, n)
-        theta_tilde -= sigma[None, :]
-        np.maximum(theta_tilde, bound, out=theta_star)
-
-    pi = psi_prime(theta_star, pot)
+    # Free the buffers before the plan is allocated, to keep the peak low.
+    del ps, pss, ps_flat, pss_flat
+    pi = psi_prime(np.maximum(theta, bound, out=theta), pot)
     row_res, col_res = marginal_residuals(pi, m, n)
     return TransportPlan(
         pi=pi,
@@ -244,19 +260,23 @@ def sinkhorn_solve(
     c = 1.0 / n
     v = np.ones(n)
     u = np.ones(m)
+    kv = kernel @ v
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        u = r / (kernel @ v)
-        v = c / (kernel.T @ u)
+        u = r / kv
+        ktu = kernel.T @ u
+        v = c / ktu
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise NumericalUnderflowError(
                 "scaling factors overflowed/underflowed; increase lam, "
                 "rescale the cost, or pass log_space=True"
             )
-        pi = u[:, None] * kernel * v[None, :]
-        row_res, col_res = _plan_residuals(pi)
-        if row_res + col_res <= tol:
+        # Marginals of diag(u) K diag(v) without forming it; K v is the
+        # next iteration's denominator.
+        kv = kernel @ v
+        residual = np.abs(u * kv - r).sum() + np.abs(v * ktu - c).sum()
+        if residual <= tol:
             converged = True
             break
     pi = u[:, None] * kernel * v[None, :]
@@ -302,38 +322,20 @@ def _sinkhorn_log(gamma: np.ndarray, lam: float, tol: float, max_iter: int):
     )
 
 
-def _inner_newton_rows(theta_star, pot, m):
-    """Newton iterations to convergence for the row multipliers."""
-    tau = np.zeros(theta_star.shape[0])
+def _inner_newton(theta_star, pot, axis, size):
+    """Newton iterations to convergence for the multipliers along ``axis``.
+
+    ``axis=1`` gives the row multipliers (target 1/m), ``axis=0`` the
+    column ones (target 1/n).
+    """
+    mult = np.zeros(theta_star.shape[1 - axis])
     for _ in range(NASA_INNER_CAP):
-        shifted = theta_star - tau[:, None]
-        ps, pss = psi_pair(shifted, pot)
-        num = ps.sum(axis=1) - 1.0 / m
-        den = pss.sum(axis=1)
-        safe = den >= EPS_DENOMINATOR
-        step = np.zeros_like(tau)
-        step[safe] = num[safe] / den[safe]
-        tau += step
+        ps, pss = psi_pair(theta_star - np.expand_dims(mult, axis), pot)
+        step = newton_quotient(ps, pss, axis, size, np.zeros_like(mult))
+        mult += step
         if np.max(np.abs(step)) <= NASA_INNER_TOL:
             break
-    return tau
-
-
-def _inner_newton_cols(theta_star, pot, n):
-    """Newton iterations to convergence for the column multipliers."""
-    sigma = np.zeros(theta_star.shape[1])
-    for _ in range(NASA_INNER_CAP):
-        shifted = theta_star - sigma[None, :]
-        ps, pss = psi_pair(shifted, pot)
-        num = ps.sum(axis=0) - 1.0 / n
-        den = pss.sum(axis=0)
-        safe = den >= EPS_DENOMINATOR
-        step = np.zeros_like(sigma)
-        step[safe] = num[safe] / den[safe]
-        sigma += step
-        if np.max(np.abs(step)) <= NASA_INNER_TOL:
-            break
-    return sigma
+    return mult
 
 
 def nasa_solve(
@@ -370,13 +372,10 @@ def nasa_solve(
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        tau = _inner_newton_rows(theta_star, pot, m)
-        theta_tilde = apply_row(theta_tilde, tau)
-        theta_star = clamp_dual(theta_tilde, pot)
-
-        sigma = _inner_newton_cols(theta_star, pot, n)
-        theta_tilde = apply_col(theta_tilde, sigma)
-        theta_star = clamp_dual(theta_tilde, pot)
+        for axis, size in ((1, m), (0, n)):
+            mult = _inner_newton(theta_star, pot, axis, size)
+            theta_tilde = theta_tilde - np.expand_dims(mult, axis)
+            theta_star = clamp_dual(theta_tilde, pot)
 
         pi = psi_prime(theta_star, pot)
         row_res, col_res = _plan_residuals(pi)

@@ -1,15 +1,24 @@
-"""Dense reference for the beta conjugate and the truncated robust loop.
+"""Dense references for the beta conjugate, the robust loop and Sinkhorn.
 
 The package raises the conjugate power only on dual entries off the
-domain boundary and updates the dual in place.  These helpers evaluate
-the same arithmetic the plain way, a power on every entry of the full
-matrix and a fresh array per step, so tests can require bit-identical
-results from the package.
+domain boundary and keeps one implicitly clamped dual.  These helpers
+evaluate the same arithmetic the plain way, a power on every entry of
+the full matrix, a clamped copy of the dual and a fresh array per step,
+so tests can require bit-identical results from the package.  The
+Sinkhorn reference forms the plan every iteration to test convergence,
+where the package tests the marginals of the scaling vectors.
 """
 
 import numpy as np
 
-from betaot import apply_col, apply_row, beta_potential, clamp_dual, phi_prime
+from betaot import (
+    apply_col,
+    apply_row,
+    beta_potential,
+    clamp_dual,
+    marginal_residuals,
+    phi_prime,
+)
 from betaot.projections import EPS_DENOMINATOR
 
 
@@ -62,3 +71,25 @@ def dense_robust_solve(gamma, beta, lam, iterations):
         theta_star = clamp_dual(theta_tilde, pot)
     pi = dense_psi_prime(theta_star, pot)
     return pi, float(np.sum(pi * gamma))
+
+
+def dense_sinkhorn(gamma, lam, tol, max_iter):
+    """Plan, iteration count and convergence flag of kernel-space Sinkhorn."""
+    m, n = gamma.shape
+    kernel = np.exp(-gamma / lam)
+    r = 1.0 / m
+    c = 1.0 / n
+    v = np.ones(n)
+    u = np.ones(m)
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        u = r / (kernel @ v)
+        v = c / (kernel.T @ u)
+        pi = u[:, None] * kernel * v[None, :]
+        row_res, col_res = marginal_residuals(pi, m, n)
+        if row_res + col_res <= tol:
+            converged = True
+            break
+    pi = u[:, None] * kernel * v[None, :]
+    return pi, iterations, converged

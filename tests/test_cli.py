@@ -95,6 +95,18 @@ class TestDistance:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "budget_args",
+        [("--lambda", "1e-300", "--z", "1e10"), ("--z", "inf"), ("--z", "nan")],
+    )
+    def test_non_finite_budget_exits_two(self, tmp_path, capsys, budget_args):
+        f = tmp_path / "a.csv"
+        write_point_cloud(f, np.random.default_rng(9).standard_normal((3, 2)))
+        assert run_cli("distance", "--x", f, "--y", f, *budget_args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "NaN to integer" not in err
+
     def test_missing_file_exits_two(self, tmp_path):
         assert run_cli("distance", "--x", tmp_path / "nope.csv",
                        "--y", tmp_path / "nope.csv", "--mode", "exact") == 2

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from dense_reference import _dense_decrement, dense_psi_pair
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betaot import (
     apply_col,
@@ -17,6 +20,7 @@ from betaot import (
     truncate_col_decrement,
     truncate_row_decrement,
 )
+from betaot.projections import truncated_decrement
 
 
 class TestClampDual:
@@ -189,3 +193,42 @@ class TestStepProperties:
             updated = clamp_dual(apply_row(theta_tilde, tau), pot)
             rows = psi_prime(updated, pot).sum(axis=1)
             np.testing.assert_allclose(rows, 1.0 / m, atol=1e-12)
+
+
+@st.composite
+def clamped_duals(draw):
+    """Random (pot, unclamped dual) with whole rows/columns and scattered entries clamped."""
+    pot = beta_potential(draw(st.floats(1.05, 3.0)))
+    m = draw(st.integers(1, 25))
+    n = draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = pot.domain_lower_dual
+    theta = rng.uniform(lo, lo + draw(st.floats(1e-9, 10.0)), size=(m, n))
+    theta[rng.random((m, n)) < draw(st.floats(0.0, 1.0))] -= rng.uniform(0.0, 3.0)
+    theta[rng.random(m) < 0.2, :] = lo - 1.0
+    theta[:, rng.random(n) < 0.2] = lo
+    return pot, theta
+
+
+class TestDecrementMatchesDenseStep:
+    """Newton step plus truncation, bit for bit against the dense reference."""
+
+    @pytest.mark.parametrize(
+        "axis, decrement, truncate",
+        [
+            (1, row_newton_decrement, truncate_row_decrement),
+            (0, col_newton_decrement, truncate_col_decrement),
+        ],
+        ids=["rows", "columns"],
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(instance=clamped_duals())
+    def test_matches_dense_step(self, axis, decrement, truncate, instance):
+        pot, theta = instance
+        theta_star = clamp_dual(theta, pot)
+        size = theta.shape[1 - axis]
+        expected = _dense_decrement(theta_star, pot, axis, size)
+        step = truncate(decrement(theta_star, pot, size), theta_star, pot, size)
+        assert np.array_equal(step, expected)
+        ps, pss = dense_psi_pair(theta_star, pot)
+        assert np.array_equal(truncated_decrement(theta, ps, pss, pot, axis, size), expected)

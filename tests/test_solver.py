@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from dense_reference import dense_robust_solve
+from dense_reference import dense_robust_solve, dense_sinkhorn
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -82,6 +82,16 @@ class TestIterationBudget:
     def test_beta_and_lambda_outside_domain_raise(self, beta, lam):
         with pytest.raises(DomainError):
             iteration_budget(100.0, SolverConfig(beta=beta, lam=lam), 10, 10)
+
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tolerance_raises(self, z):
+        with pytest.raises(DomainError, match="finite z"):
+            iteration_budget(z, SolverConfig(beta=1.2, lam=2.0), 10, 10)
+
+    def test_overflowing_bound_raises(self):
+        # z/lam overflows to inf, which math.ceil cannot convert
+        with pytest.raises(DomainError, match="not finite"):
+            iteration_budget(1e10, SolverConfig(beta=1.2, lam=1e-300), 3, 3)
 
 
 class TestRobustSolve:
@@ -306,3 +316,30 @@ class TestRobustSolveMatchesDenseLoop:
         cfg.iterations = min(iterations, budget)
         far = gamma.min(axis=0) >= z
         assert np.all(robust_solve(gamma, cfg).pi[:, far] == 0.0)
+
+
+@st.composite
+def sinkhorn_instances(draw):
+    """Random (cost, lam, tol, max_iter) for kernel-space Sinkhorn."""
+    m = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma = rng.uniform(0.0, draw(st.floats(0.0, 5.0)), size=(m, n))
+    if draw(st.booleans()):
+        gamma = np.round(gamma, 1)
+    lam = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    tol = draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+    max_iter = draw(st.integers(1, 2000))
+    return gamma, lam, tol, max_iter
+
+
+class TestSinkhornMatchesDenseLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(sinkhorn_instances())
+    def test_same_iterations_and_bit_identical_plan(self, instance):
+        gamma, lam, tol, max_iter = instance
+        pi, iterations, converged = dense_sinkhorn(gamma, lam, tol, max_iter)
+        plan = sinkhorn_solve(gamma, lam, tol=tol, max_iter=max_iter)
+        assert plan.iterations_run == iterations
+        assert plan.converged == converged
+        assert np.array_equal(plan.pi, pi)
