@@ -7,14 +7,18 @@ single Newton-Raphson steps on the per-row / per-column Lagrange
 multipliers, truncated from below so that no plan entry can overshoot its
 marginal cap (1/m after a row step, 1/n after a column step).
 
-Rows and columns share one axis-generic step, :func:`truncated_decrement`
-(``axis=1`` for rows, ``axis=0`` for columns).  It takes the conjugate
-derivatives as dense matrices and the dual *before* its clamp: an entry
-at or below ``clamp_bound`` counts as clamped, and the maximum along the
-axis is ``max(theta.max(axis), clamp_bound)``, which equals the maximum
-of the clamped dual bit for bit.  :func:`solver.robust_solve` therefore
-keeps no clamped copy of its dual.  The row and column functions below
-are thin wrappers over the same arithmetic for a clamped dual.
+Every truncated step comes from one function, :func:`truncated_step`,
+which takes per line (row or column) the maximum of the clamped dual and
+the sums of ``psi'`` and ``psi''``, so a caller may reduce its dual in
+any layout that keeps those three vectors bit for bit.  The axis-generic
+:func:`truncated_decrement` (``axis=1`` for rows, ``axis=0`` for columns)
+reduces dense conjugate derivatives and the dual *before* its clamp: an
+entry at or below ``clamp_bound`` counts as clamped, and the maximum
+along the axis is ``max(theta.max(axis), clamp_bound)``, which equals
+the maximum of the clamped dual bit for bit.  :func:`solver.robust_solve`
+therefore keeps no clamped copy of its dual.  The row and column
+functions below are thin wrappers over the same arithmetic for a clamped
+dual.
 
 Operations read their inputs and return fresh arrays; only
 :func:`newton_quotient` writes, into the ``fallback`` it returns.  Row
@@ -42,35 +46,55 @@ def clamp_dual(theta_tilde, pot: Potential):
     return np.maximum(np.asarray(theta_tilde, dtype=float), pot.clamp_bound)
 
 
+def _quotient(ps_sum, pss_sum, size: int, fallback):
+    num = ps_sum - 1.0 / size
+    return np.divide(num, pss_sum, out=fallback, where=pss_sum >= EPS_DENOMINATOR)
+
+
 def newton_quotient(ps, pss, axis: int, size: int, fallback):
     """``(sum psi' - 1/size) / sum psi''`` along ``axis``, else ``fallback``.
 
     Where the summed curvature is below :data:`EPS_DENOMINATOR` the entry
     of ``fallback`` is kept; ``fallback`` is overwritten and returned.
     """
-    num = ps.sum(axis=axis) - 1.0 / size
-    den = pss.sum(axis=axis)
-    return np.divide(num, den, out=fallback, where=den >= EPS_DENOMINATOR)
+    return _quotient(ps.sum(axis=axis), pss.sum(axis=axis), size, fallback)
 
 
-def _truncation_bound(theta, pot: Potential, axis: int, size: int):
-    """``max(theta.max(axis), clamp_bound) - phi_prime(1/size)``."""
-    theta_hat = np.maximum(theta.max(axis=axis), pot.clamp_bound)
+def _line_max(theta, pot: Potential, axis: int):
+    """``max(theta.max(axis), clamp_bound)``, the maximum of the clamped dual."""
+    return np.maximum(theta.max(axis=axis), pot.clamp_bound)
+
+
+def _truncation_bound(theta_hat, pot: Potential, size: int):
+    """``theta_hat - phi_prime(1/size)`` for line maxima ``theta_hat``."""
     return theta_hat - phi_prime(1.0 / size, pot)
+
+
+def truncated_step(theta_hat, ps_sum, pss_sum, pot: Potential, size: int):
+    """Truncated single Newton step from per-line reductions.
+
+    ``theta_hat`` holds the maxima of the clamped dual along each line
+    (never below ``clamp_bound``), ``ps_sum``/``pss_sum`` the sums of
+    ``psi'``/``psi''`` along it, and ``size`` is the marginal's count
+    (target ``1/size``).  The maximum serves both as the guard for fully
+    clamped lines and as the truncation lower bound, so every step is at
+    least ``clamp_bound - phi_prime(1/size)``.  See
+    :func:`row_newton_decrement` and :func:`truncate_row_decrement`.
+    """
+    lower = _truncation_bound(theta_hat, pot, size)
+    step = _quotient(ps_sum, pss_sum, size, lower.copy())
+    return np.maximum(step, lower, out=step)
 
 
 def truncated_decrement(theta, ps, pss, pot: Potential, axis: int, size: int):
     """Truncated single Newton step along ``axis`` (1: rows, 0: columns).
 
-    ``ps``/``pss`` are ``psi'``/``psi''`` of the clamped ``theta``; ``size``
-    is the marginal's count (target ``1/size``).  The maximum along the
-    axis is taken once and serves both as the guard for fully clamped
-    lines and as the truncation lower bound.  See
-    :func:`row_newton_decrement` and :func:`truncate_row_decrement`.
+    ``ps``/``pss`` are dense ``psi'``/``psi''`` of the clamped ``theta``;
+    ``theta`` may be unclamped.  The maximum along the axis is taken once.
     """
-    lower = _truncation_bound(theta, pot, axis, size)
-    step = newton_quotient(ps, pss, axis, size, lower.copy())
-    return np.maximum(step, lower, out=step)
+    return truncated_step(
+        _line_max(theta, pot, axis), ps.sum(axis=axis), pss.sum(axis=axis), pot, size
+    )
 
 
 def _dual_and_size(theta_star, size, axis):
@@ -81,13 +105,13 @@ def _dual_and_size(theta_star, size, axis):
 def _newton_decrement(theta_star, pot, axis, size):
     theta_star, size = _dual_and_size(theta_star, size, axis)
     ps, pss = psi_pair(theta_star, pot)
-    lower = _truncation_bound(theta_star, pot, axis, size)
+    lower = _truncation_bound(_line_max(theta_star, pot, axis), pot, size)
     return newton_quotient(ps, pss, axis, size, lower)
 
 
 def _truncate(tau, theta_star, pot, axis, size):
     theta_star, size = _dual_and_size(theta_star, size, axis)
-    lower = _truncation_bound(theta_star, pot, axis, size)
+    lower = _truncation_bound(_line_max(theta_star, pot, axis), pot, size)
     return np.maximum(np.asarray(tau, dtype=float), lower)
 
 

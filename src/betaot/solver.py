@@ -5,12 +5,16 @@ Three solvers share the dual-coordinate machinery:
 - :func:`robust_solve` runs the truncated single-Newton-step alternating
   scaling loop for the beta potential.  Run for at most
   :func:`iteration_budget` iterations it provably sends zero mass to any
-  column whose costs all exceed the tolerance ``z``.  It keeps one dual
-  matrix and clamps it implicitly: an entry at or below the clamp bound
-  is clamped, maps to exactly zero mass and costs no arithmetic.  The
-  solve owns three m x n buffers, the dual and the ``psi'``/``psi''``
-  matrices, and each half-step rewrites only the entries that were or
-  are active.
+  column whose costs all exceed the tolerance ``z``.  It clamps its dual
+  implicitly: an entry at or below the clamp bound is clamped, maps to
+  exactly zero mass and costs no arithmetic.  The same per-entry bound
+  behind the guarantee certifies, before the loop, every entry that
+  stays clamped for all T iterations.  When the remaining candidates are
+  few, the loop runs on compressed arrays over them alone and never
+  allocates an m x n dual.  Otherwise it owns three m x n buffers, the
+  dual and the ``psi'``/``psi''`` matrices, and each half-step rewrites
+  only the entries that were or are active.  Both loops give
+  bit-identical plans.
 - :func:`sinkhorn_solve` is the classical kernel-space scaling method for
   the Shannon entropy (with an explicit log-space variant).
 - :func:`nasa_solve` is the generic alternating-projection loop with inner
@@ -37,8 +41,8 @@ from .errors import (
     NumericalUnderflowError,
     UnsupportedGeneratorError,
 )
-from .potentials import Potential, beta_potential, psi_pair, psi_prime
-from .projections import clamp_dual, newton_quotient, truncated_decrement
+from .potentials import Potential, beta_potential, phi_prime, psi_pair, psi_prime
+from .projections import clamp_dual, newton_quotient, truncated_decrement, truncated_step
 
 NASA_INNER_TOL = 1e-12
 NASA_INNER_CAP = 100
@@ -100,10 +104,14 @@ def _validate_cost(cost) -> np.ndarray:
     return gamma
 
 
-def init_dual(cost, lam: float) -> np.ndarray:
-    """Dual image of the unconstrained regularized optimum: ``-cost / lam``."""
+def _check_lambda(lam: float) -> None:
     if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
+
+
+def init_dual(cost, lam: float) -> np.ndarray:
+    """Dual image of the unconstrained regularized optimum: ``-cost / lam``."""
+    _check_lambda(lam)
     gamma = _validate_cost(cost)
     return -gamma / lam
 
@@ -163,6 +171,56 @@ def _resolve_iterations(cfg: SolverConfig, m: int, n: int) -> int:
     raise ValueError("SolverConfig needs either iterations or z")
 
 
+def _certified_cost(pot: Potential, lam: float, m: int, n: int, iterations: int) -> float:
+    """Cost at or above which a dual entry stays clamped for ``iterations``.
+
+    This is the paper's ``z_T = lam * (1 + T*D) / (beta - 1)`` with a
+    margin for rounding; such an entry carries exactly zero mass and
+    takes no part in any step.  O(1) in T.
+
+    A row step is at least ``fl(clamp_bound - phi_prime(1/m))``, the
+    truncation lower bound of a fully clamped row, and a column step at
+    least the same with ``n``; so a half-step raises an entry by at most
+    ``r_m = -fl(clamp_bound - phi_prime(1/m))`` or ``r_n``.  Rounding is
+    monotone, so an entry whose initial dual ``fl(-cost/lam)`` is at or
+    below ``x`` stays at or below the iterates of ``y <- fl(y + r)``
+    started at ``x``.  While those stay at or below the bound they lie in
+    ``[x, 0]``, so the 2T roundings add at most ``2T * u * |x|``
+    (``u = eps/2``) to ``x + T*(r_m + r_n)``; for ``T*u <= 1/16``,
+    ``x = -(|clamp_bound| + T*(r_m + r_n)) * (1 + 4*T*u)`` keeps them
+    there.  The returned level is ``-lam * x`` with about twice that
+    margin, which covers its own roundings, so a cost at or above it has
+    ``fl(-cost/lam) <= x``.  A larger margin only keeps more entries in
+    the loop.  Beyond ``T*u = 1/16`` every entry is kept (``inf``).
+    """
+    if iterations >= 2**49:
+        return math.inf
+    bound = pot.clamp_bound
+    rise = -(bound - phi_prime(1.0 / m, pot)) - (bound - phi_prime(1.0 / n, pot))
+    u = np.finfo(float).eps / 2.0
+    level = (abs(bound) + iterations * rise) * (1.0 + 8.0 * (iterations + 2) * u)
+    return lam * level * (1.0 + 4.0 * u)
+
+
+# The candidate loop runs when at most this share of the dual entries
+# costs less than _certified_cost (see robust_solve).
+CANDIDATE_SHARE_MAX = 0.2
+
+
+def _candidates(gamma: np.ndarray, level: float):
+    """Row-major flat indices of the costs below ``level``, or None.
+
+    None when they are more than :data:`CANDIDATE_SHARE_MAX` of the
+    entries, or when ``n == 1``: numpy sums the single column of an m x 1
+    matrix pairwise, not row after row, so ``bincount`` would not
+    reproduce it.  They are counted before any index is built.
+    """
+    below = gamma < level
+    if gamma.shape[1] > 1 and np.count_nonzero(below) <= CANDIDATE_SHARE_MAX * below.size:
+        return np.flatnonzero(below)
+    return None
+
+
 def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     """Truncated alternating scaling for the beta potential.
 
@@ -177,6 +235,21 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     entries, so the plan is bit-identical to clamping a copy of the dual
     and evaluating the conjugate on all of it.
 
+    Entries whose cost is at or above :func:`_certified_cost` stay
+    clamped for all T iterations, so they carry exactly zero mass and
+    take no part in any step.  When the other entries, the candidates,
+    are at most :data:`CANDIDATE_SHARE_MAX` (a fifth) of the dual and
+    ``n > 1``, the loop runs on compressed arrays over the candidates
+    alone; otherwise it runs on the dense dual.  The two loops give
+    bit-identical plans.  The crossover depends on how many candidates
+    become active, which the input does not tell in advance.  Measured
+    on a 2-core Xeon (T=10, candidate loop over dense loop): on the
+    950x1000 detection cost rescaled, where about 0.3% of the entries
+    end active, 0.31 at 7.7% candidates, 0.57 at 25%, 0.91 at 50%, 1.00
+    at 60% and 1.34 at 85%; on 800x800 costs whose candidates all end
+    active, 0.54 at 10%, 0.90 at 20%, 1.11 at 25% and 1.22 at 50%.  At
+    a fifth neither case is slower.
+
     The output is an intermediate iterate on purpose: it is generally
     infeasible (nonzero marginal residuals) but, within the iteration
     budget for a tolerance z, provably transports no mass to columns
@@ -186,12 +259,31 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     m, n = gamma.shape
     pot = beta_potential(cfg.beta)
     iterations = _resolve_iterations(cfg, m, n)
+    _check_lambda(cfg.lam)
 
-    # One dual matrix (init_dual returns a fresh array), clamped
-    # implicitly: entries at or below the bound are the clamped ones.
-    # C order makes the flat views below views, not copies.
-    theta = np.ascontiguousarray(init_dual(gamma, cfg.lam))
+    index = _candidates(gamma, _certified_cost(pot, cfg.lam, m, n, iterations))
+    if index is None:
+        pi = _dense_plan(gamma, pot, cfg.lam, iterations)
+    else:
+        pi = _candidate_plan(gamma, index, pot, cfg.lam, iterations)
+    row_res, col_res = marginal_residuals(pi, m, n)
+    return TransportPlan(
+        pi=pi,
+        value=transport_value(pi, gamma),
+        row_residual_l1=row_res,
+        col_residual_l1=col_res,
+        iterations_run=iterations,
+    )
+
+
+def _dense_plan(gamma, pot, lam, iterations):
+    """The robust loop on the whole dual."""
+    m, n = gamma.shape
     bound = pot.clamp_bound
+    # A fresh C-ordered dual, so the flat views below are views even for
+    # an F-ordered cost such as gamma.T.
+    theta = np.negative(gamma, order="C")
+    theta /= lam
     ps, pss = np.zeros((m, n)), np.zeros((m, n))
     # Flat views of the three buffers for the gather and the scatters.
     theta_flat, ps_flat, pss_flat = theta.reshape(-1), ps.reshape(-1), pss.reshape(-1)
@@ -209,15 +301,69 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
 
     # Free the buffers before the plan is allocated, to keep the peak low.
     del ps, pss, ps_flat, pss_flat
-    pi = psi_prime(np.maximum(theta, bound, out=theta), pot)
-    row_res, col_res = marginal_residuals(pi, m, n)
-    return TransportPlan(
-        pi=pi,
-        value=transport_value(pi, gamma),
-        row_residual_l1=row_res,
-        col_residual_l1=col_res,
-        iterations_run=iterations,
-    )
+    return psi_prime(np.maximum(theta, bound, out=theta), pot)
+
+
+def _candidate_plan(gamma, index, pot, lam, iterations):
+    """The robust loop on the entries at the sorted row-major flat ``index``.
+
+    Every other entry stays clamped (see :func:`_certified_cost`).  The line
+    maxima and sums equal the dense loop's bit for bit: a maximum does
+    not depend on order; numpy sums axis 0 of a C-ordered matrix with
+    ``n > 1`` one row after another, as ``bincount`` does over row-major
+    entries; and a row sum of at most two nonzero terms is ``fl(a + b)``
+    in any order, so only rows with three or more active entries are
+    summed densely (:func:`_row_sums`).
+    """
+    m, n = gamma.shape
+    bound = pot.clamp_bound
+    rows, cols = np.divmod(index, n)
+    theta = -gamma[rows, cols] / lam
+    for _ in range(iterations):
+        for lines, size in ((rows, m), (cols, n)):
+            active = np.flatnonzero(theta > bound)
+            values = theta[active]
+            ps, pss = psi_pair(values, pot)
+            on = lines[active]
+            theta_hat = np.full(size, bound)
+            np.maximum.at(theta_hat, on, values)
+            if lines is rows:
+                ps_sum, pss_sum = _row_sums(on, cols[active], ps, pss, m, n)
+            else:
+                ps_sum = np.bincount(on, weights=ps, minlength=n)
+                pss_sum = np.bincount(on, weights=pss, minlength=n)
+            theta -= truncated_step(theta_hat, ps_sum, pss_sum, pot, size)[lines]
+
+    active = np.flatnonzero(theta > bound)
+    pi = np.zeros((m, n))
+    pi.reshape(-1)[index[active]] = psi_prime(theta[active], pot)
+    return pi
+
+
+def _row_sums(rows, cols, ps, pss, m, n):
+    """Row sums of ``psi'``/``psi''`` given at row-major ``(rows, cols)``.
+
+    Equal bit for bit to ``sum(axis=1)`` over the dense m x n matrices:
+    rows with at most two entries are summed by ``bincount``, the others
+    in a zero-filled block of full-length rows, so numpy's pairwise
+    summation sees the same row it sees in the dense matrix.
+    """
+    ps_sum = np.bincount(rows, weights=ps, minlength=m)
+    pss_sum = np.bincount(rows, weights=pss, minlength=m)
+    crowded = np.bincount(rows, minlength=m) > 2
+    if crowded.any():
+        k = np.count_nonzero(crowded)
+        # Crowded rows fill block rows 0..k-1; the others share row k,
+        # whose sum is discarded.  The psi'' block follows the psi' one.
+        slot = np.where(crowded, np.cumsum(crowded) - 1, k)
+        at = slot[rows] * n + cols
+        block = np.zeros((2, (k + 1) * n))
+        block[0, at] = ps
+        block[1, at] = pss
+        sums = block.reshape(2 * (k + 1), n).sum(axis=1)
+        ps_sum[crowded] = sums[:k]
+        pss_sum[crowded] = sums[k + 1 : -1]
+    return ps_sum, pss_sum
 
 
 def _plan_residuals(pi: np.ndarray) -> tuple[float, float]:
@@ -244,8 +390,7 @@ def sinkhorn_solve(
     log-sum-exp and cannot underflow for finite costs.
     """
     gamma = _validate_cost(cost)
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _check_lambda(lam)
     if log_space:
         return _sinkhorn_log(gamma, lam, tol, max_iter)
 
@@ -363,11 +508,10 @@ def nasa_solve(
             "sq_euclidean); use robust_solve for the beta potential"
         )
     gamma = _validate_cost(cost)
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _check_lambda(lam)
     m, n = gamma.shape
 
-    theta_tilde = init_dual(gamma, lam)
+    theta_tilde = -gamma / lam
     theta_star = clamp_dual(theta_tilde, pot)
     iterations = 0
     converged = False

@@ -1,10 +1,12 @@
 """Dense references for the beta conjugate, the robust loop and Sinkhorn.
 
 The package raises the conjugate power only on dual entries off the
-domain boundary and keeps one implicitly clamped dual.  These helpers
-evaluate the same arithmetic the plain way, a power on every entry of
-the full matrix, a clamped copy of the dual and a fresh array per step,
-so tests can require bit-identical results from the package.  The
+domain boundary, keeps one implicitly clamped dual, and on mostly
+clamped problems iterates only the entries that can become active.
+These helpers evaluate the same arithmetic the plain way, a power on
+every entry of the full matrix, a clamped copy of the dual and a fresh
+array per step, so tests can require bit-identical results from the
+package.  The
 Sinkhorn reference forms the plan every iteration to test convergence,
 where the package tests the marginals of the scaling vectors.
 """
@@ -58,18 +60,29 @@ def _dense_decrement(theta_star, pot, axis, size):
     return np.maximum(step, lower)
 
 
-def dense_robust_solve(gamma, beta, lam, iterations):
-    """Plan and value of ``iterations`` full robust iterations on ``gamma``."""
+def dense_robust_duals(gamma, beta, lam, iterations):
+    """Yield the clamped dual at the start and after each of the 2T half-steps."""
     pot = beta_potential(beta)
     m, n = gamma.shape
-    theta_tilde = -gamma / lam
+    # C order, as in the package: the row sums of an F-ordered dual
+    # reduce in another order.
+    theta_tilde = np.ascontiguousarray(-gamma / lam)
     theta_star = clamp_dual(theta_tilde, pot)
+    yield theta_star
     for _ in range(iterations):
         theta_tilde = apply_row(theta_tilde, _dense_decrement(theta_star, pot, 1, m))
         theta_star = clamp_dual(theta_tilde, pot)
+        yield theta_star
         theta_tilde = apply_col(theta_tilde, _dense_decrement(theta_star, pot, 0, n))
         theta_star = clamp_dual(theta_tilde, pot)
-    pi = dense_psi_prime(theta_star, pot)
+        yield theta_star
+
+
+def dense_robust_solve(gamma, beta, lam, iterations):
+    """Plan and value of ``iterations`` full robust iterations on ``gamma``."""
+    for theta_star in dense_robust_duals(gamma, beta, lam, iterations):
+        pass
+    pi = dense_psi_prime(theta_star, beta_potential(beta))
     return pi, float(np.sum(pi * gamma))
 
 

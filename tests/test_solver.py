@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from dense_reference import dense_robust_solve, dense_sinkhorn
-from hypothesis import assume, given, settings
+from dense_reference import dense_robust_duals, dense_robust_solve, dense_sinkhorn
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from betaot import (
@@ -28,6 +28,7 @@ from betaot import (
     squared_euclidean,
     transport_value,
 )
+from betaot.solver import _candidates, _certified_cost
 
 
 class TestInitDual:
@@ -271,18 +272,26 @@ class TestDiagnostics:
 
 @st.composite
 def robust_instances(draw):
-    """Random (beta, lam, T, cost) with some columns at or above a tolerance z."""
+    """Random (beta, lam, T, cost, z) with some columns at or above z.
+
+    The cost scale is drawn over three decades, so that both the dense
+    and the candidate loop of ``robust_solve`` run, and the cost is
+    F-ordered half the time, as ``gamma.T`` is.
+    """
     beta = draw(st.floats(1.05, 3.0, exclude_min=True))
     lam = draw(st.floats(0.01, 50.0))
     m = draw(st.integers(1, 40))
     n = draw(st.integers(1, 40))
     iterations = draw(st.integers(1, 15))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    z = lam / (beta - 1.0) * draw(st.floats(0.5, 30.0))
+    scale = draw(st.sampled_from([1.0, 10.0, 100.0]))
+    z = lam / (beta - 1.0) * draw(st.floats(0.5, 30.0)) * scale
     gamma = rng.uniform(0.0, z, size=(m, n))
     far = rng.random(n) < draw(st.floats(0.0, 0.6))
     gamma[:, far] = z * rng.uniform(1.0, 3.0, size=(m, int(far.sum())))
     gamma[0, far] = z
+    if draw(st.booleans()):
+        gamma = np.asfortranarray(gamma)
     return beta, lam, iterations, gamma, z
 
 
@@ -316,6 +325,56 @@ class TestRobustSolveMatchesDenseLoop:
         cfg.iterations = min(iterations, budget)
         far = gamma.min(axis=0) >= z
         assert np.all(robust_solve(gamma, cfg).pi[:, far] == 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(robust_instances())
+    def test_entries_at_or_above_certified_cost_stay_clamped(self, instance):
+        beta, lam, iterations, gamma, _ = instance
+        m, n = gamma.shape
+        pot = beta_potential(beta)
+        level = _certified_cost(pot, lam, m, n, iterations)
+        event("candidate loop" if _candidates(gamma, level) is not None else "dense loop")
+        outside = gamma >= level
+        for theta_star in dense_robust_duals(gamma, beta, lam, iterations):
+            assert np.all(theta_star[outside] <= pot.clamp_bound)
+
+
+class TestCertifiedCost:
+    def test_bounds_the_paper_threshold(self):
+        beta, lam, m, n, iterations = 1.2, 2.0, 950, 1000, 10
+        decrement_sum = (1.0 / m) ** (beta - 1.0) + (1.0 / n) ** (beta - 1.0)
+        z_t = lam * (1.0 + iterations * decrement_sum) / (beta - 1.0)
+        level = _certified_cost(beta_potential(beta), lam, m, n, iterations)
+        assert z_t <= level <= z_t * (1.0 + 1e-12)
+
+    def test_huge_iteration_counts_return_at_once(self):
+        pot = beta_potential(1.2)
+        assert math.isfinite(_certified_cost(pot, 2.0, 950, 1000, 10**9))
+        assert _certified_cost(pot, 2.0, 950, 1000, 10**20) == math.inf
+
+    def test_candidate_loop_matches_dense_reference(self):
+        # 83% far entries, and rows longer than numpy's pairwise block
+        # of 128 with many active entries, which are summed densely.
+        rng = np.random.default_rng(5)
+        gamma = rng.uniform(0.0, 20.0, size=(60, 300))
+        gamma[:, 50:] += 1e4
+        level = _certified_cost(beta_potential(1.2), 2.0, 60, 300, 12)
+        assert _candidates(gamma, level) is not None
+        pi, value = dense_robust_solve(gamma, 1.2, 2.0, 12)
+        plan = robust_solve(gamma, SolverConfig(beta=1.2, lam=2.0, iterations=12))
+        assert np.array_equal(plan.pi, pi)
+        assert plan.value == value
+        assert np.count_nonzero(pi, axis=1).max() >= 10
+
+    def test_single_column_matches_dense_reference(self):
+        # numpy sums an m x 1 column pairwise, so it takes the dense loop.
+        rng = np.random.default_rng(3)
+        gamma = np.full((120, 1), 1e6)
+        gamma[:24, 0] = rng.uniform(0.0, 0.1, size=24)
+        pi, value = dense_robust_solve(gamma, 1.2, 1.0, 6)
+        plan = robust_solve(gamma, SolverConfig(beta=1.2, lam=1.0, iterations=6))
+        assert np.array_equal(plan.pi, pi)
+        assert plan.value == value
 
 
 @st.composite
