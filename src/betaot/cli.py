@@ -162,8 +162,13 @@ def _run_robust(gamma, z, args, fields):
 
 
 def _finish_with_plan(plan, gamma, fields):
+    # The solve ran on gamma itself unless robust mode rescaled it.
+    if fields.get("scale", 1.0) == 1.0:
+        value = plan.value
+    else:
+        value = transport_value(plan, gamma)
     fields.update(
-        value=transport_value(plan.pi, gamma),
+        value=value,
         row_residual_l1=plan.row_residual_l1,
         col_residual_l1=plan.col_residual_l1,
         iterations_run=plan.iterations_run,

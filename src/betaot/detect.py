@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import _plan_matrix
+from .solver import PlanEntries, _plan_data
 
 ZERO_COLUMN = "zero_column"
 BASELINE = "baseline"
@@ -43,8 +43,14 @@ def detect_outliers(plan, eps_zero: float = 1e-12, params: dict | None = None) -
     ``params``.  A degenerate all-zero plan flags every column (surfaced,
     not hidden).
     """
-    pi = _plan_matrix(plan)
-    flagged = np.flatnonzero(pi.max(axis=0) <= eps_zero)
+    pi = _plan_data(plan)
+    if isinstance(pi, PlanEntries):
+        # Plan entries are nonnegative, so the zeros left out set the floor.
+        col_max = np.zeros(pi.shape[1])
+        np.maximum.at(col_max, pi.index % pi.shape[1], pi.values)
+    else:
+        col_max = pi.max(axis=0)
+    flagged = np.flatnonzero(col_max <= eps_zero)
     report_params = {"eps_zero": eps_zero}
     if params:
         report_params.update(params)

@@ -25,13 +25,52 @@ def _parse_numeric_row(line: str):
         return None
 
 
+def _next_line(fh):
+    """Position and text of the next nonblank line; the text is None at the end."""
+    while True:
+        pos = fh.tell()
+        line = fh.readline()
+        if not line or line.strip():
+            return pos, line or None
+
+
+def _load_rows(fh, pos):
+    """The rows from ``pos`` on, parsed by ``np.loadtxt``, or None.
+
+    None when ``np.loadtxt`` rejects them or reads a non-finite entry:
+    then the line parser decides, so every error reads the same.
+    """
+    fh.seek(pos)
+    try:
+        rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if np.isfinite(rows).all() else None
+
+
 def read_point_cloud(path) -> np.ndarray:
     """Read a point cloud CSV, skipping an optional header row.
 
     Returns an array of shape (k, d); a header-only file yields (0, d).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        pos, first = _next_line(fh)
+        if first is not None:
+            dim = len(first.split(","))
+            if _parse_numeric_row(first.strip()) is None:
+                pos, line = _next_line(fh)
+                if line is None:
+                    return np.zeros((0, dim))
+            pts = _load_rows(fh, pos)
+            if pts is not None and pts.shape[1] == dim:
+                return pts
+        fh.seek(0)
+        return _parse_point_cloud(path, fh)
+
+
+def _parse_point_cloud(path, fh) -> np.ndarray:
+    """The line parser behind :func:`read_point_cloud`."""
+    lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty point-cloud file")
     first = _parse_numeric_row(lines[0])
@@ -58,7 +97,18 @@ def read_point_cloud(path) -> np.ndarray:
 def read_cost_matrix(path) -> np.ndarray:
     """Read a dense cost matrix CSV; entries must be finite and nonnegative."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        pos, first = _next_line(fh)
+        if first is not None:
+            gamma = _load_rows(fh, pos)
+            if gamma is not None and np.all(gamma >= 0.0):
+                return gamma
+        fh.seek(0)
+        return _parse_cost_matrix(path, fh)
+
+
+def _parse_cost_matrix(path, fh) -> np.ndarray:
+    """The line parser behind :func:`read_cost_matrix`."""
+    lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty cost file")
     rows = []

@@ -28,6 +28,7 @@ subproblems, so vectorizing over rows/columns is safe.
 
 import numpy as np
 
+from .errors import DomainError
 from .potentials import Potential, phi_prime, psi_pair
 
 # A Newton denominator below this is treated as zero: the row/column is
@@ -80,10 +81,22 @@ def truncated_step(theta_hat, ps_sum, pss_sum, pot: Potential, size: int):
     clamped lines and as the truncation lower bound, so every step is at
     least ``clamp_bound - phi_prime(1/size)``.  See
     :func:`row_newton_decrement` and :func:`truncate_row_decrement`.
+
+    Raises :class:`DomainError` when a step is not finite: the conjugate
+    overflowed on a dual entry far above the clamp bound, as a very
+    negative cost gives.  After a finite step every entry of the line is
+    at most ``phi_prime(1/size)``, so the steps are the only place where
+    an overflow shows.
     """
     lower = _truncation_bound(theta_hat, pot, size)
     step = _quotient(ps_sum, pss_sum, size, lower.copy())
-    return np.maximum(step, lower, out=step)
+    np.maximum(step, lower, out=step)
+    if not np.isfinite(step).all():
+        raise DomainError(
+            "the beta conjugate overflowed: -cost/lambda is too large for "
+            "some entry; rescale the cost or increase lambda"
+        )
+    return step
 
 
 def truncated_decrement(theta, ps, pss, pot: Potential, axis: int, size: int):

@@ -10,11 +10,12 @@ Three solvers share the dual-coordinate machinery:
   exactly zero mass and costs no arithmetic.  The same per-entry bound
   behind the guarantee certifies, before the loop, every entry that
   stays clamped for all T iterations.  When the remaining candidates are
-  few, the loop runs on compressed arrays over them alone and never
-  allocates an m x n dual.  Otherwise it owns three m x n buffers, the
-  dual and the ``psi'``/``psi''`` matrices, and each half-step rewrites
-  only the entries that were or are active.  Both loops give
-  bit-identical plans.
+  few, the loop runs on compressed arrays over them alone, allocates no
+  m x n array and returns the plan sparse, as its nonzero entries.
+  Otherwise it owns three m x n buffers, the dual and the
+  ``psi'``/``psi''`` matrices, each half-step rewrites only the entries
+  that were or are active, and the plan is dense.  Both loops give
+  bit-identical plans, values and residuals.
 - :func:`sinkhorn_solve` is the classical kernel-space scaling method for
   the Shannon entropy (with an explicit log-space variant).
 - :func:`nasa_solve` is the generic alternating-projection loop with inner
@@ -23,13 +24,19 @@ Three solvers share the dual-coordinate machinery:
   beta loop deviates from.
 
 All solvers return a :class:`TransportPlan` carrying the plan, its cost
-value, L1 marginal residuals, and the iteration count.  Solves mutate
+value, L1 marginal residuals, and the iteration count.  A sparse plan
+keeps its entries and builds the dense ``pi`` only when it is read;
+:func:`transport_value`, :func:`marginal_residuals` and
+``detect.detect_outliers`` work from the entries, and give the same
+floats as from the dense plan: row sums and whole-matrix sums follow
+numpy's pairwise summation (:func:`_sparse_row_sums`).  Solves mutate
 only the dual buffers they allocate, never their inputs; concurrent
 solves share nothing.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,21 +73,43 @@ class SolverConfig:
     eps_zero: float = 1e-12
 
 
-@dataclass
+class PlanEntries(NamedTuple):
+    """The nonzero entries of an m x n plan, at sorted row-major flat ``index``."""
+
+    shape: tuple[int, int]
+    index: np.ndarray
+    values: np.ndarray
+
+
 class TransportPlan:
     """A computed plan with diagnostics.
 
     ``value`` is the Frobenius inner product of the plan with the cost
     matrix; ``row_residual_l1`` / ``col_residual_l1`` are L1 distances of
     the marginals from the uniform targets 1/m and 1/n.
+
+    ``pi`` is given dense or as the :class:`PlanEntries` of its nonzeros,
+    as the candidate loop of :func:`robust_solve` gives it.  A sparse plan
+    keeps them in ``entries`` and builds the dense ``pi`` once, on first
+    access; a dense plan has ``entries`` None.
     """
 
-    pi: np.ndarray
-    value: float
-    row_residual_l1: float
-    col_residual_l1: float
-    iterations_run: int
-    converged: bool | None = None
+    def __init__(self, pi, value, row_residual_l1, col_residual_l1, iterations_run,
+                 converged=None):
+        self.entries = pi if isinstance(pi, PlanEntries) else None
+        self._pi = None if self.entries is not None else pi
+        self.value = value
+        self.row_residual_l1 = row_residual_l1
+        self.col_residual_l1 = col_residual_l1
+        self.iterations_run = iterations_run
+        self.converged = converged
+
+    @property
+    def pi(self) -> np.ndarray:
+        if self._pi is None:
+            self._pi = np.zeros(self.entries.shape)
+            self._pi.reshape(-1)[self.entries.index] = self.entries.values
+        return self._pi
 
 
 @dataclass
@@ -248,7 +277,12 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     end active, 0.31 at 7.7% candidates, 0.57 at 25%, 0.91 at 50%, 1.00
     at 60% and 1.34 at 85%; on 800x800 costs whose candidates all end
     active, 0.54 at 10%, 0.90 at 20%, 1.11 at 25% and 1.22 at 50%.  At
-    a fifth neither case is slower.
+    a fifth neither case is slower.  The candidate loop returns a sparse
+    plan (see :class:`TransportPlan`).
+
+    Raises :class:`DomainError` when the conjugate overflows, as it does
+    on a dual entry ``-cost/lam`` far above the domain (a very negative
+    cost); the plan would be NaN or meaningless.
 
     The output is an intermediate iterate on purpose: it is generally
     infeasible (nonzero marginal residuals) but, within the iteration
@@ -262,18 +296,14 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     _check_lambda(cfg.lam)
 
     index = _candidates(gamma, _certified_cost(pot, cfg.lam, m, n, iterations))
-    if index is None:
-        pi = _dense_plan(gamma, pot, cfg.lam, iterations)
-    else:
-        pi = _candidate_plan(gamma, index, pot, cfg.lam, iterations)
-    row_res, col_res = marginal_residuals(pi, m, n)
-    return TransportPlan(
-        pi=pi,
-        value=transport_value(pi, gamma),
-        row_residual_l1=row_res,
-        col_residual_l1=col_res,
-        iterations_run=iterations,
-    )
+    # An overflow of the conjugate makes a step non-finite, and
+    # truncated_step raises DomainError on it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if index is None:
+            pi = _dense_plan(gamma, pot, cfg.lam, iterations)
+        else:
+            pi = _candidate_plan(gamma, index, pot, cfg.lam, iterations)
+    return _plan_result(pi, gamma, iterations)
 
 
 def _dense_plan(gamma, pot, lam, iterations):
@@ -311,9 +341,8 @@ def _candidate_plan(gamma, index, pot, lam, iterations):
     maxima and sums equal the dense loop's bit for bit: a maximum does
     not depend on order; numpy sums axis 0 of a C-ordered matrix with
     ``n > 1`` one row after another, as ``bincount`` does over row-major
-    entries; and a row sum of at most two nonzero terms is ``fl(a + b)``
-    in any order, so only rows with three or more active entries are
-    summed densely (:func:`_row_sums`).
+    entries; and :func:`_sparse_row_sums` follows numpy's pairwise
+    summation of each row.  Returns the :class:`PlanEntries` of the plan.
     """
     m, n = gamma.shape
     bound = pot.clamp_bound
@@ -328,46 +357,81 @@ def _candidate_plan(gamma, index, pot, lam, iterations):
             theta_hat = np.full(size, bound)
             np.maximum.at(theta_hat, on, values)
             if lines is rows:
-                ps_sum, pss_sum = _row_sums(on, cols[active], ps, pss, m, n)
+                ps_sum, pss_sum = _sparse_row_sums(index[active], n, m, ps, pss)
             else:
                 ps_sum = np.bincount(on, weights=ps, minlength=n)
                 pss_sum = np.bincount(on, weights=pss, minlength=n)
             theta -= truncated_step(theta_hat, ps_sum, pss_sum, pot, size)[lines]
 
     active = np.flatnonzero(theta > bound)
-    pi = np.zeros((m, n))
-    pi.reshape(-1)[index[active]] = psi_prime(theta[active], pot)
-    return pi
+    return PlanEntries((m, n), index[active], psi_prime(theta[active], pot))
 
 
-def _row_sums(rows, cols, ps, pss, m, n):
-    """Row sums of ``psi'``/``psi''`` given at row-major ``(rows, cols)``.
+# numpy sums runs of at most this many entries with 8 accumulators and
+# splits longer runs in two.
+_PAIRWISE_BLOCK = 128
 
-    Equal bit for bit to ``sum(axis=1)`` over the dense m x n matrices:
-    rows with at most two entries are summed by ``bincount``, the others
-    in a zero-filled block of full-length rows, so numpy's pairwise
-    summation sees the same row it sees in the dense matrix.
+
+def _sparse_row_sums(index, length, count, *weights):
+    """Row sums of C-ordered ``count x length`` matrices from their nonzeros.
+
+    Each array in ``weights`` holds a matrix's entries at the sorted
+    row-major flat ``index``; its other entries are zero.  Returns, per
+    array, its ``sum(axis=1)`` bit for bit, so ``length=m*n, count=1``
+    gives the ``np.sum`` of a whole C-ordered matrix.
+
+    numpy adds to 0.0 the pairwise sum of each row: a run of more than
+    128 entries splits at ``h - h % 8`` (``h`` half its length) and adds
+    the sums of its halves; a shorter run adds its entries to 8 strided
+    accumulators, combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
+    and then adds its last ``size % 8`` entries in order, so a run
+    shorter than 8 adds them all in order.  ``x + 0.0 == x`` for nonzero
+    ``x`` and a zero result is +0.0 either way, so skipping the zeros
+    changes no sum.  The split tree is walked level by level over the
+    nonzeros only; a node is named by its path from the root behind a
+    leading 1 bit.
     """
-    ps_sum = np.bincount(rows, weights=ps, minlength=m)
-    pss_sum = np.bincount(rows, weights=pss, minlength=m)
-    crowded = np.bincount(rows, minlength=m) > 2
-    if crowded.any():
-        k = np.count_nonzero(crowded)
-        # Crowded rows fill block rows 0..k-1; the others share row k,
-        # whose sum is discarded.  The psi'' block follows the psi' one.
-        slot = np.where(crowded, np.cumsum(crowded) - 1, k)
-        at = slot[rows] * n + cols
-        block = np.zeros((2, (k + 1) * n))
-        block[0, at] = ps
-        block[1, at] = pss
-        sums = block.reshape(2 * (k + 1), n).sum(axis=1)
-        ps_sum[crowded] = sums[:k]
-        pss_sum[crowded] = sums[k + 1 : -1]
-    return ps_sum, pss_sum
+    line, offset = np.divmod(index, length)
+    size = np.full_like(offset, length)
+    path = np.ones_like(offset)
+    while True:
+        split = size > _PAIRWISE_BLOCK
+        if not split.any():
+            break
+        cut = np.where(split, (size >> 4) << 3, size)  # h - h % 8, h = size // 2
+        right = offset >= cut
+        np.subtract(offset, cut, out=offset, where=right)
+        size = np.where(right, size - cut, cut)
+        path = (path << split) | right
+    # Slots 0-7 of a run are its accumulators, 8-14 its tail in order.
+    main = size - size % 8
+    slot = np.where(offset < main, offset % 8, 8 + offset - main)
+    head = _node_heads(line, path)
+    slot += 15 * (np.cumsum(head) - 1)
+    line, path = line[head], path[head]
+    sums = []
+    for w in weights:
+        r = np.bincount(slot, weights=w, minlength=15 * line.size).reshape(-1, 15).T
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for tail in r[8:]:
+            total += tail
+        sums.append(total)
+    # Merge sibling nodes bottom-up, the left one first, into their parent.
+    for depth in range(int(path.max(initial=1)).bit_length() - 1, 0, -1):
+        path = path >> (path >= 1 << depth)
+        head = _node_heads(line, path)
+        group = np.cumsum(head) - 1
+        sums = [np.bincount(group, weights=total) for total in sums]
+        line, path = line[head], path[head]
+    return [np.bincount(line, weights=total, minlength=count) for total in sums]
 
 
-def _plan_residuals(pi: np.ndarray) -> tuple[float, float]:
-    return marginal_residuals(pi, pi.shape[0], pi.shape[1])
+def _node_heads(line, path):
+    """Marks the first entry of each run of equal ``(line, path)``."""
+    head = np.ones(line.size, dtype=bool)
+    np.not_equal(line[1:], line[:-1], out=head[1:])
+    head[1:] |= path[1:] != path[:-1]
+    return head
 
 
 def sinkhorn_solve(
@@ -424,16 +488,7 @@ def sinkhorn_solve(
         if residual <= tol:
             converged = True
             break
-    pi = u[:, None] * kernel * v[None, :]
-    row_res, col_res = _plan_residuals(pi)
-    return TransportPlan(
-        pi=pi,
-        value=transport_value(pi, gamma),
-        row_residual_l1=row_res,
-        col_residual_l1=col_res,
-        iterations_run=iterations,
-        converged=converged,
-    )
+    return _plan_result(u[:, None] * kernel * v[None, :], gamma, iterations, converged)
 
 
 def _sinkhorn_log(gamma: np.ndarray, lam: float, tol: float, max_iter: int):
@@ -451,20 +506,12 @@ def _sinkhorn_log(gamma: np.ndarray, lam: float, tol: float, max_iter: int):
         f = lam * (log_r - logsumexp((g[None, :] - gamma) / lam, axis=1))
         g = lam * (log_c - logsumexp((f[:, None] - gamma) / lam, axis=0))
         pi = np.exp((f[:, None] + g[None, :] - gamma) / lam)
-        row_res, col_res = _plan_residuals(pi)
+        row_res, col_res = marginal_residuals(pi, m, n)
         if row_res + col_res <= tol:
             converged = True
             break
     pi = np.exp((f[:, None] + g[None, :] - gamma) / lam)
-    row_res, col_res = _plan_residuals(pi)
-    return TransportPlan(
-        pi=pi,
-        value=transport_value(pi, gamma),
-        row_residual_l1=row_res,
-        col_residual_l1=col_res,
-        iterations_run=iterations,
-        converged=converged,
-    )
+    return _plan_result(pi, gamma, iterations, converged)
 
 
 def _inner_newton(theta_star, pot, axis, size):
@@ -521,46 +568,56 @@ def nasa_solve(
             theta_tilde = theta_tilde - np.expand_dims(mult, axis)
             theta_star = clamp_dual(theta_tilde, pot)
 
-        pi = psi_prime(theta_star, pot)
-        row_res, col_res = _plan_residuals(pi)
+        row_res, col_res = marginal_residuals(psi_prime(theta_star, pot), m, n)
         if row_res + col_res <= tol:
             converged = True
             break
-    pi = psi_prime(theta_star, pot)
-    row_res, col_res = _plan_residuals(pi)
-    return TransportPlan(
-        pi=pi,
-        value=transport_value(pi, gamma),
-        row_residual_l1=row_res,
-        col_residual_l1=col_res,
-        iterations_run=iterations,
-        converged=converged,
-    )
+    return _plan_result(psi_prime(theta_star, pot), gamma, iterations, converged)
 
 
-def _plan_matrix(plan) -> np.ndarray:
-    pi = plan.pi if isinstance(plan, TransportPlan) else plan
-    return np.asarray(pi, dtype=float)
+def _plan_result(pi, gamma, iterations, converged=None) -> TransportPlan:
+    """The :class:`TransportPlan` of ``pi`` (dense or :class:`PlanEntries`) on ``gamma``."""
+    row_res, col_res = marginal_residuals(pi, *gamma.shape)
+    return TransportPlan(pi, transport_value(pi, gamma), row_res, col_res, iterations, converged)
+
+
+def _plan_data(plan):
+    """The dense plan as an array, or the :class:`PlanEntries` of a sparse one."""
+    if isinstance(plan, TransportPlan):
+        plan = plan.pi if plan.entries is None else plan.entries
+    return plan if isinstance(plan, PlanEntries) else np.asarray(plan, dtype=float)
 
 
 def transport_value(plan, cost) -> float:
     """Frobenius inner product of a plan with the cost matrix.
 
     Summation is row-major over the dense product, so repeated evaluation
-    on identical inputs is bit-identical.
+    on identical inputs is bit-identical.  A sparse plan gives the same
+    float from its nonzeros alone (see :func:`_sparse_row_sums`).
     """
-    pi = _plan_matrix(plan)
+    pi = _plan_data(plan)
     gamma = np.asarray(cost, dtype=float)
     if pi.shape != gamma.shape:
         raise DimensionMismatchError(
             f"plan shape {pi.shape} != cost shape {gamma.shape}"
         )
+    if isinstance(pi, PlanEntries):
+        m, n = pi.shape
+        products = pi.values * gamma[np.divmod(pi.index, n)]
+        return float(_sparse_row_sums(pi.index, m * n, 1, products)[0][0])
     return float(np.sum(pi * gamma))
 
 
 def marginal_residuals(plan, m: int, n: int) -> tuple[float, float]:
     """L1 distances of the plan's row/column sums from 1/m and 1/n."""
-    pi = _plan_matrix(plan)
-    row = float(np.abs(pi.sum(axis=1) - 1.0 / m).sum())
-    col = float(np.abs(pi.sum(axis=0) - 1.0 / n).sum())
+    pi = _plan_data(plan)
+    if isinstance(pi, PlanEntries):
+        height, width = pi.shape
+        (row_sums,) = _sparse_row_sums(pi.index, width, height, pi.values)
+        # Row after row, as numpy sums axis 0 of a C-ordered plan with n > 1.
+        col_sums = np.bincount(pi.index % width, weights=pi.values, minlength=width)
+    else:
+        row_sums, col_sums = pi.sum(axis=1), pi.sum(axis=0)
+    row = float(np.abs(row_sums - 1.0 / m).sum())
+    col = float(np.abs(col_sums - 1.0 / n).sum())
     return row, col

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from betaot import sq_euclidean_cost, transport_value
+from betaot import SolverConfig, robust_solve, sq_euclidean_cost, transport_value
 from betaot.cli import main, sample_spec
 from betaot.fileio import read_cost_matrix, read_point_cloud, write_matrix, write_point_cloud
 
@@ -137,6 +137,23 @@ class TestDistance:
         assert report["T"] >= 1
         gamma = sq_euclidean_cost(read_point_cloud(x), read_point_cloud(y))
         assert report["z"] == pytest.approx(float(np.median(gamma)), rel=1e-12)
+
+    @pytest.mark.parametrize("rescale", [False, True])
+    def test_robust_value_is_on_the_input_cost(self, tmp_path, rescale):
+        rng = np.random.default_rng(13)
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_point_cloud(x, 10.0 * rng.standard_normal((30, 2)))
+        write_point_cloud(y, 10.0 * rng.standard_normal((40, 2)))
+        out = tmp_path / "rep.txt"
+        flags = ["--auto-scale"] if rescale else ["--T", 4]
+        assert run_cli("distance", "--x", x, "--y", y, "--mode", "robust",
+                       *flags, "--out", out) == 0
+        report = load_json_report(out)
+        assert (report["scale"] != 1.0) == rescale
+        gamma = sq_euclidean_cost(read_point_cloud(x), read_point_cloud(y))
+        cfg = SolverConfig(beta=1.2, lam=2.0, iterations=report["T"])
+        plan = robust_solve(report["scale"] * gamma, cfg)
+        assert report["value"] == transport_value(plan.pi, gamma)
 
     def test_explicit_iterations_not_certified(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -1,6 +1,7 @@
 """End-to-end solvers: truncated beta scaling, Sinkhorn, NASA, diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from betaot import (
     SolverConfig,
     UnsupportedGeneratorError,
     beta_potential,
+    detect_outliers,
     exact_ot,
     init_dual,
     iteration_budget,
@@ -28,7 +30,12 @@ from betaot import (
     squared_euclidean,
     transport_value,
 )
-from betaot.solver import _candidates, _certified_cost
+from betaot.solver import _candidates, _certified_cost, _sparse_row_sums
+
+
+def _bits(*values):
+    """The bytes of the floats: equal only when bit for bit equal."""
+    return np.array(values, dtype=float).tobytes()
 
 
 class TestInitDual:
@@ -338,6 +345,24 @@ class TestRobustSolveMatchesDenseLoop:
         for theta_star in dense_robust_duals(gamma, beta, lam, iterations):
             assert np.all(theta_star[outside] <= pot.clamp_bound)
 
+    @settings(max_examples=150, deadline=None)
+    @given(robust_instances(), st.integers(0, 2**32 - 1))
+    def test_diagnostics_from_entries_equal_those_from_dense_plan(self, instance, seed):
+        beta, lam, iterations, gamma, _ = instance
+        plan = robust_solve(gamma, SolverConfig(beta=beta, lam=lam, iterations=iterations))
+        event("sparse plan" if plan.entries is not None else "dense plan")
+        pi = plan.pi
+        assert plan.pi is pi
+        assert _bits(plan.value) == _bits(transport_value(pi, gamma))
+        residuals = marginal_residuals(pi, *gamma.shape)
+        assert _bits(plan.row_residual_l1, plan.col_residual_l1) == _bits(*residuals)
+        other = np.random.default_rng(seed).standard_normal(gamma.shape)
+        other = np.asfortranarray(other) if seed % 2 else other
+        assert _bits(transport_value(plan, other)) == _bits(transport_value(pi, other))
+        for eps_zero in (1e-12, 0.0, 1e-6, -1.0):
+            flagged = detect_outliers(plan, eps_zero=eps_zero).flagged
+            assert flagged == detect_outliers(pi, eps_zero=eps_zero).flagged
+
 
 class TestCertifiedCost:
     def test_bounds_the_paper_threshold(self):
@@ -375,6 +400,78 @@ class TestCertifiedCost:
         plan = robust_solve(gamma, SolverConfig(beta=1.2, lam=1.0, iterations=6))
         assert np.array_equal(plan.pi, pi)
         assert plan.value == value
+
+    def test_candidate_loop_allocates_no_dense_matrix(self):
+        # 2% candidates: the plan stays sparse, the loop's arrays are
+        # O(candidates), and no m x n float array (8*m*n bytes) is made.
+        rng = np.random.default_rng(11)
+        m, n = 400, 500
+        gamma = rng.uniform(0.0, 20.0, size=(m, n))
+        gamma[:, 10:] += 1e4
+        cfg = SolverConfig(beta=1.2, lam=2.0, iterations=10)
+        assert _candidates(gamma, _certified_cost(beta_potential(1.2), 2.0, m, n, 10)).size == 4000
+        tracemalloc.start()
+        try:
+            plan = robust_solve(gamma, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan.entries is not None
+        assert peak < 4 * m * n
+
+
+class TestConjugateOverflow:
+    """A very negative cost overflows the conjugate: a typed error, not NaN."""
+
+    @pytest.mark.parametrize("far", [False, True], ids=["dense loop", "candidate loop"])
+    def test_raises_domain_error(self, far):
+        rng = np.random.default_rng(12)
+        gamma = rng.uniform(0.0, 1.0, size=(40, 40))
+        if far:
+            gamma[:, 4:] = 1e3
+        gamma[3, 2] = -1e70
+        level = _certified_cost(beta_potential(1.2), 1.0, 40, 40, 3)
+        assert (_candidates(gamma, level) is not None) == far
+        with pytest.raises(DomainError, match="overflowed"):
+            robust_solve(gamma, SolverConfig(beta=1.2, lam=1.0, iterations=3))
+
+
+@st.composite
+def sparse_rows(draw):
+    """A C-ordered matrix with rows in each regime of numpy's pairwise sum.
+
+    Rows shorter than 8 are summed in order, rows of 8 to 128 in 8 strided
+    accumulators, longer rows split in two; from no nonzero entry to all,
+    with magnitudes from 1e-8 to 1e8 and both signs.
+    """
+    length = draw(st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 40_000)))
+    count = draw(st.integers(1, max(1, min(12, 60_000 // length))))
+    density = draw(st.sampled_from([0.0, 0.001, 0.01, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((count, length)) < density
+    k = int(mask.sum())
+    values = 10.0 ** rng.uniform(-8.0, 8.0, size=k)
+    if draw(st.booleans()):
+        values *= rng.choice([-1.0, 1.0], size=k)
+    dense = np.zeros((count, length))
+    dense[mask] = values
+    return dense
+
+
+class TestSparseRowSums:
+    """Pins numpy's reduction order: ``_sparse_row_sums`` reproduces it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_rows())
+    def test_equals_numpy_sums_bit_for_bit(self, dense):
+        count, length = dense.shape
+        index = np.flatnonzero(dense)
+        values = dense.reshape(-1)[index]
+        rows, negated = _sparse_row_sums(index, length, count, values, -values)
+        assert _bits(*rows) == _bits(*np.add.reduce(dense, axis=1))
+        assert _bits(*negated) == _bits(*np.add.reduce(-dense, axis=1))
+        (whole,) = _sparse_row_sums(index, dense.size, 1, values)
+        assert _bits(*whole) == _bits(np.add.reduce(dense, axis=None))
 
 
 @st.composite
