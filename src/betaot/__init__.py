@@ -10,7 +10,13 @@ projection solver for cofinite regularizers, and an exact small-instance
 reference are included for comparison and validation.
 """
 
-from .costs import auto_scale, estimate_z, median_threshold, sq_euclidean_cost
+from .costs import (
+    SqEuclideanCost,
+    auto_scale,
+    estimate_z,
+    median_threshold,
+    sq_euclidean_cost,
+)
 from .detect import (
     DetectionMetrics,
     OutlierReport,
@@ -82,6 +88,7 @@ __all__ = [
     "Potential",
     "SizeError",
     "SolverConfig",
+    "SqEuclideanCost",
     "TransportPlan",
     "UnsupportedGeneratorError",
     "apply_col",

@@ -15,7 +15,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .costs import auto_scale, estimate_z, median_threshold, sq_euclidean_cost
+from .costs import (
+    SqEuclideanCost,
+    auto_scale,
+    estimate_z,
+    median_threshold,
+    sq_euclidean_cost,
+)
 from .detect import detect_outliers, detection_metrics
 from .errors import (
     AutoScaleError,
@@ -251,7 +257,7 @@ def cmd_detect(args) -> int:
     start = time.perf_counter()
     clean = read_point_cloud(args.clean)
     dirty = read_point_cloud(args.dirty)
-    gamma = sq_euclidean_cost(clean, dirty)
+    gamma = SqEuclideanCost(clean, dirty)
     m, n = gamma.shape
     fields = {
         "command": "detect",

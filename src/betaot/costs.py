@@ -6,8 +6,18 @@ matrix or from a subsampling heuristic on the clean set
 through ``z/lam``, multiplying the cost matrix and ``z`` by a common
 factor moves the budget wherever needed without changing which points
 qualify as outliers; :func:`auto_scale` picks that factor.
+
+:class:`SqEuclideanCost` stands for the squared Euclidean cost of two
+point clouds, rescaled or not, without forming the m x n matrix.
+:func:`auto_scale` rescales it without evaluating it, and
+``solver.robust_solve`` evaluates it in blocks of rows and keeps only
+the entries below its certified level; when those are many, or the
+target cloud has one point, the solver forms the dense matrix and runs
+its dense loop.  Every entry has the same bits as in
+``scale * sq_euclidean_cost(x, y)``.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -19,12 +29,20 @@ from .errors import (
     DimensionMismatchError,
     InfeasibleToleranceError,
 )
-from .solver import SolverConfig, iteration_budget
+from .solver import SolverConfig, _validate_cost, iteration_budget
 
 # Offset added to the inverted budget target so the re-evaluated bound
 # lands strictly above the integer target instead of exactly on it
 # (where the strict-inequality budget would drop by one).
 _TARGET_NUDGE = 1e-9
+
+# Rows of a SqEuclideanCost evaluated at once: a block holds 64*n floats.
+_BLOCK_ROWS = 64
+
+# While d * (max|x| + max|y|)^2, times the scales, stays below this, no
+# squared distance can overflow; the margin to the largest float covers
+# the roundings of the distances and of the bound itself.
+_FINITE_BOUND = 1e300
 
 
 def _as_points(x) -> np.ndarray:
@@ -38,15 +56,89 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-def sq_euclidean_cost(x, y) -> np.ndarray:
-    """Pairwise squared Euclidean distances between two point clouds."""
+def _point_pair(x, y):
     xp = _as_points(x)
     yp = _as_points(y)
     if xp.shape[1] != yp.shape[1]:
         raise DimensionMismatchError(
             f"point dimensions differ: {xp.shape[1]} vs {yp.shape[1]}"
         )
-    return cdist(xp, yp, metric="sqeuclidean")
+    return xp, yp
+
+
+def sq_euclidean_cost(x, y) -> np.ndarray:
+    """Pairwise squared Euclidean distances between two point clouds."""
+    return cdist(*_point_pair(x, y), metric="sqeuclidean")
+
+
+class SqEuclideanCost:
+    """The cost ``sq_euclidean_cost(x, y)``, evaluated on demand in blocks of rows.
+
+    Holds the two point clouds (validated as :func:`sq_euclidean_cost`
+    validates them) and the scales applied so far, and never the m x n
+    matrix.  ``scaled(s)`` multiplies it by ``s``; ``dense()`` forms the
+    matrix.  ``cdist`` computes each pair on its own, and each scale
+    multiplies each entry once, so every entry, whether from a block or
+    from ``dense()``, has the bits of ``s * sq_euclidean_cost(x, y)``.
+    ``solver.robust_solve`` and :func:`auto_scale` accept it.
+    """
+
+    def __init__(self, x, y):
+        self.x, self.y = _point_pair(x, y)
+        self.shape = (self.x.shape[0], self.y.shape[0])
+        self._scales = ()
+
+    def scaled(self, scale: float) -> "SqEuclideanCost":
+        """This cost times ``scale``, without evaluating it."""
+        out = copy.copy(self)
+        # Times 1.0 every float keeps its bits, so the factor is skipped.
+        if scale != 1.0:
+            out._scales = self._scales + (scale,)
+        return out
+
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        block = cdist(self.x[start:stop], self.y, metric="sqeuclidean")
+        for scale in self._scales:
+            np.multiply(block, scale, out=block)
+        return block
+
+    def dense(self) -> np.ndarray:
+        """The m x n cost matrix."""
+        return self._rows(0, self.shape[0])
+
+    def check_finite(self) -> None:
+        """Raise ``ValueError`` unless every cost is finite.
+
+        The error is the one ``robust_solve`` raises for a dense cost.
+        When the bound ``d * (max|x| + max|y|)^2`` times the scales is
+        below :data:`_FINITE_BOUND`, no cost can overflow and nothing is
+        evaluated; otherwise the blocks are evaluated and checked.
+        """
+        reach = float(np.abs(self.x).max()) + float(np.abs(self.y).max())
+        bound = self.x.shape[1] * reach * reach
+        for scale in self._scales:
+            bound *= abs(scale)
+        if not bound < _FINITE_BOUND:
+            for start in range(0, self.shape[0], _BLOCK_ROWS):
+                _validate_cost(self._rows(start, start + _BLOCK_ROWS))
+
+    def entries_below(self, level: float, limit: float):
+        """Row-major flat indices and values of the costs below ``level``.
+
+        Returns None as soon as more than ``limit`` are found.  Holds one
+        block of rows at a time besides the entries found.
+        """
+        n = self.shape[1]
+        index, values, count = [], [], 0
+        for start in range(0, self.shape[0], _BLOCK_ROWS):
+            block = self._rows(start, start + _BLOCK_ROWS).reshape(-1)
+            found = np.flatnonzero(block < level)
+            count += found.size
+            if count > limit:
+                return None
+            index.append(found + start * n)
+            values.append(block[found])
+        return np.concatenate(index), np.concatenate(values)
 
 
 def median_threshold(cost) -> float:
@@ -101,9 +193,11 @@ def auto_scale(cost, z: float, cfg: SolverConfig, target_range: tuple[int, int])
 
     Returns ``(scale, scaled_cost, scaled_z)``.  When the unscaled budget
     is already inside the range, returns scale 1 and the inputs unchanged.
+    A :class:`SqEuclideanCost` comes back rescaled and still unevaluated.
     """
-    gamma = np.asarray(cost, dtype=float)
-    if gamma.ndim != 2 or gamma.size == 0:
+    lazy = isinstance(cost, SqEuclideanCost)
+    gamma = cost if lazy else np.asarray(cost, dtype=float)
+    if not lazy and (gamma.ndim != 2 or gamma.size == 0):
         raise DimensionMismatchError("cost must be a nonempty 2-D matrix")
     if not z > 0.0:
         raise ValueError(f"z must be positive, got {z}")
@@ -130,7 +224,7 @@ def auto_scale(cost, z: float, cfg: SolverConfig, target_range: tuple[int, int])
         except (InfeasibleToleranceError, BudgetExhaustedError):
             continue
         if lo <= budget <= hi:
-            return s, s * gamma, s * z
+            return s, gamma.scaled(s) if lazy else s * gamma, s * z
     raise AutoScaleError(
         f"no scale places the iteration budget inside [{lo}, {hi}] "
         f"for beta={beta}, lam={lam}, z={z}, shape=({m}, {n})"

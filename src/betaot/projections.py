@@ -71,16 +71,17 @@ def _truncation_bound(theta_hat, pot: Potential, size: int):
     return theta_hat - phi_prime(1.0 / size, pot)
 
 
-def truncated_step(theta_hat, ps_sum, pss_sum, pot: Potential, size: int):
+def truncated_step(theta_hat, ps_sum, pss_sum, cap: float, size: int):
     """Truncated single Newton step from per-line reductions.
 
     ``theta_hat`` holds the maxima of the clamped dual along each line
     (never below ``clamp_bound``), ``ps_sum``/``pss_sum`` the sums of
-    ``psi'``/``psi''`` along it, and ``size`` is the marginal's count
-    (target ``1/size``).  The maximum serves both as the guard for fully
+    ``psi'``/``psi''`` along it, ``size`` is the marginal's count (target
+    ``1/size``) and ``cap`` is ``phi_prime(1/size)``, which a caller can
+    compute once per solve.  The maximum serves both as the guard for fully
     clamped lines and as the truncation lower bound, so every step is at
-    least ``clamp_bound - phi_prime(1/size)``.  See
-    :func:`row_newton_decrement` and :func:`truncate_row_decrement`.
+    least ``clamp_bound - cap``.  See :func:`row_newton_decrement` and
+    :func:`truncate_row_decrement`.
 
     Raises :class:`DomainError` when a step is not finite: the conjugate
     overflowed on a dual entry far above the clamp bound, as a very
@@ -88,7 +89,7 @@ def truncated_step(theta_hat, ps_sum, pss_sum, pot: Potential, size: int):
     at most ``phi_prime(1/size)``, so the steps are the only place where
     an overflow shows.
     """
-    lower = _truncation_bound(theta_hat, pot, size)
+    lower = theta_hat - cap
     step = _quotient(ps_sum, pss_sum, size, lower.copy())
     np.maximum(step, lower, out=step)
     if not np.isfinite(step).all():
@@ -105,9 +106,9 @@ def truncated_decrement(theta, ps, pss, pot: Potential, axis: int, size: int):
     ``ps``/``pss`` are dense ``psi'``/``psi''`` of the clamped ``theta``;
     ``theta`` may be unclamped.  The maximum along the axis is taken once.
     """
-    return truncated_step(
-        _line_max(theta, pot, axis), ps.sum(axis=axis), pss.sum(axis=axis), pot, size
-    )
+    theta_hat = _line_max(theta, pot, axis)
+    cap = phi_prime(1.0 / size, pot)
+    return truncated_step(theta_hat, ps.sum(axis=axis), pss.sum(axis=axis), cap, size)
 
 
 def _dual_and_size(theta_star, size, axis):

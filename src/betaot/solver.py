@@ -250,6 +250,21 @@ def _candidates(gamma: np.ndarray, level: float):
     return None
 
 
+def _candidate_entries(cost, level: float):
+    """Flat indices and costs of the candidates of :func:`_candidates`, or None.
+
+    A lazily evaluated cost (``costs.SqEuclideanCost``) finds them block
+    by block and stops once they are too many.
+    """
+    m, n = cost.shape
+    if isinstance(cost, np.ndarray):
+        index = _candidates(cost, level)
+        return None if index is None else (index, cost[np.divmod(index, n)])
+    if n == 1:
+        return None
+    return cost.entries_below(level, CANDIDATE_SHARE_MAX * m * n)
+
+
 def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     """Truncated alternating scaling for the beta potential.
 
@@ -280,6 +295,13 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     a fifth neither case is slower.  The candidate loop returns a sparse
     plan (see :class:`TransportPlan`).
 
+    ``cost`` may also be a ``costs.SqEuclideanCost``, which is never
+    formed whole on the candidate loop: its rows are evaluated in blocks
+    and only the candidates are kept, with their costs, from which the
+    plan's value comes.  When the candidates are too many, or ``n == 1``,
+    the dense matrix is formed and the dense loop runs.  The plan, value
+    and residuals equal those of the dense cost bit for bit.
+
     Raises :class:`DomainError` when the conjugate overflows, as it does
     on a dual entry ``-cost/lam`` far above the domain (a very negative
     cost); the plan would be NaN or meaningless.
@@ -289,21 +311,29 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     budget for a tolerance z, provably transports no mass to columns
     whose costs all reach z.
     """
-    gamma = _validate_cost(cost)
+    if hasattr(cost, "check_finite"):  # a lazily evaluated costs.SqEuclideanCost
+        cost.check_finite()
+        gamma = cost
+    else:
+        gamma = _validate_cost(cost)
     m, n = gamma.shape
     pot = beta_potential(cfg.beta)
     iterations = _resolve_iterations(cfg, m, n)
     _check_lambda(cfg.lam)
 
-    index = _candidates(gamma, _certified_cost(pot, cfg.lam, m, n, iterations))
+    found = _candidate_entries(gamma, _certified_cost(pot, cfg.lam, m, n, iterations))
     # An overflow of the conjugate makes a step non-finite, and
     # truncated_step raises DomainError on it.
     with np.errstate(over="ignore", invalid="ignore"):
-        if index is None:
+        if found is None:
+            if not isinstance(gamma, np.ndarray):
+                gamma = gamma.dense()
             pi = _dense_plan(gamma, pot, cfg.lam, iterations)
+            value = transport_value(pi, gamma)
         else:
-            pi = _candidate_plan(gamma, index, pot, cfg.lam, iterations)
-    return _plan_result(pi, gamma, iterations)
+            pi, costs = _candidate_plan((m, n), *found, pot, cfg.lam, iterations)
+            value = _entries_value(pi, costs)
+    return _plan_result(pi, value, iterations)
 
 
 def _dense_plan(gamma, pot, lam, iterations):
@@ -334,20 +364,22 @@ def _dense_plan(gamma, pot, lam, iterations):
     return psi_prime(np.maximum(theta, bound, out=theta), pot)
 
 
-def _candidate_plan(gamma, index, pot, lam, iterations):
+def _candidate_plan(shape, index, costs, pot, lam, iterations):
     """The robust loop on the entries at the sorted row-major flat ``index``.
 
-    Every other entry stays clamped (see :func:`_certified_cost`).  The line
-    maxima and sums equal the dense loop's bit for bit: a maximum does
-    not depend on order; numpy sums axis 0 of a C-ordered matrix with
-    ``n > 1`` one row after another, as ``bincount`` does over row-major
-    entries; and :func:`_sparse_row_sums` follows numpy's pairwise
-    summation of each row.  Returns the :class:`PlanEntries` of the plan.
+    ``costs`` holds their costs.  Every other entry stays clamped (see
+    :func:`_certified_cost`).  The line maxima and sums equal the dense
+    loop's bit for bit: a maximum does not depend on order; numpy sums
+    axis 0 of a C-ordered matrix with ``n > 1`` one row after another, as
+    ``bincount`` does over row-major entries; and :func:`_row_sums`
+    follows numpy's pairwise summation of each row.  Returns the
+    :class:`PlanEntries` of the plan and the costs at its entries.
     """
-    m, n = gamma.shape
+    m, n = shape
     bound = pot.clamp_bound
     rows, cols = np.divmod(index, n)
-    theta = -gamma[rows, cols] / lam
+    theta = -costs / lam
+    caps = {size: phi_prime(1.0 / size, pot) for size in (m, n)}
     for _ in range(iterations):
         for lines, size in ((rows, m), (cols, n)):
             active = np.flatnonzero(theta > bound)
@@ -357,14 +389,33 @@ def _candidate_plan(gamma, index, pot, lam, iterations):
             theta_hat = np.full(size, bound)
             np.maximum.at(theta_hat, on, values)
             if lines is rows:
-                ps_sum, pss_sum = _sparse_row_sums(index[active], n, m, ps, pss)
+                ps_sum, pss_sum = _row_sums(index[active], on, n, m, ps, pss)
             else:
                 ps_sum = np.bincount(on, weights=ps, minlength=n)
                 pss_sum = np.bincount(on, weights=pss, minlength=n)
-            theta -= truncated_step(theta_hat, ps_sum, pss_sum, pot, size)[lines]
+            theta -= truncated_step(theta_hat, ps_sum, pss_sum, caps[size], size)[lines]
 
     active = np.flatnonzero(theta > bound)
-    return PlanEntries((m, n), index[active], psi_prime(theta[active], pot))
+    plan = PlanEntries(shape, index[active], psi_prime(theta[active], pot))
+    return plan, costs[active]
+
+
+def _row_sums(index, rows, length, count, *weights):
+    """:func:`_sparse_row_sums` of the entries at ``index`` in ``rows``.
+
+    A row with at most two entries is summed by ``bincount``, exactly as
+    numpy sums it: adding 0.0 changes no entry, and two entries round
+    once in either order.  Only the entries of rows with three or more
+    go through :func:`_sparse_row_sums`.
+    """
+    sums = [np.bincount(rows, weights=w, minlength=count) for w in weights]
+    crowded = np.bincount(rows, minlength=count)[rows] > 2
+    if crowded.any():
+        crowded_rows = rows[crowded]
+        exact = _sparse_row_sums(index[crowded], length, count, *(w[crowded] for w in weights))
+        for total, row_total in zip(sums, exact):
+            total[crowded_rows] = row_total[crowded_rows]
+    return sums
 
 
 # numpy sums runs of at most this many entries with 8 accumulators and
@@ -488,7 +539,8 @@ def sinkhorn_solve(
         if residual <= tol:
             converged = True
             break
-    return _plan_result(u[:, None] * kernel * v[None, :], gamma, iterations, converged)
+    pi = u[:, None] * kernel * v[None, :]
+    return _plan_result(pi, transport_value(pi, gamma), iterations, converged)
 
 
 def _sinkhorn_log(gamma: np.ndarray, lam: float, tol: float, max_iter: int):
@@ -511,7 +563,7 @@ def _sinkhorn_log(gamma: np.ndarray, lam: float, tol: float, max_iter: int):
             converged = True
             break
     pi = np.exp((f[:, None] + g[None, :] - gamma) / lam)
-    return _plan_result(pi, gamma, iterations, converged)
+    return _plan_result(pi, transport_value(pi, gamma), iterations, converged)
 
 
 def _inner_newton(theta_star, pot, axis, size):
@@ -572,13 +624,14 @@ def nasa_solve(
         if row_res + col_res <= tol:
             converged = True
             break
-    return _plan_result(psi_prime(theta_star, pot), gamma, iterations, converged)
+    pi = psi_prime(theta_star, pot)
+    return _plan_result(pi, transport_value(pi, gamma), iterations, converged)
 
 
-def _plan_result(pi, gamma, iterations, converged=None) -> TransportPlan:
-    """The :class:`TransportPlan` of ``pi`` (dense or :class:`PlanEntries`) on ``gamma``."""
-    row_res, col_res = marginal_residuals(pi, *gamma.shape)
-    return TransportPlan(pi, transport_value(pi, gamma), row_res, col_res, iterations, converged)
+def _plan_result(pi, value, iterations, converged=None) -> TransportPlan:
+    """The :class:`TransportPlan` of ``pi`` (dense or :class:`PlanEntries`) and its value."""
+    row_res, col_res = marginal_residuals(pi, *pi.shape)
+    return TransportPlan(pi, value, row_res, col_res, iterations, converged)
 
 
 def _plan_data(plan):
@@ -602,10 +655,14 @@ def transport_value(plan, cost) -> float:
             f"plan shape {pi.shape} != cost shape {gamma.shape}"
         )
     if isinstance(pi, PlanEntries):
-        m, n = pi.shape
-        products = pi.values * gamma[np.divmod(pi.index, n)]
-        return float(_sparse_row_sums(pi.index, m * n, 1, products)[0][0])
+        return _entries_value(pi, gamma[np.divmod(pi.index, pi.shape[1])])
     return float(np.sum(pi * gamma))
+
+
+def _entries_value(entries: PlanEntries, costs) -> float:
+    """:func:`transport_value` of a sparse plan from the costs at its entries."""
+    m, n = entries.shape
+    return float(_sparse_row_sums(entries.index, m * n, 1, entries.values * costs)[0][0])
 
 
 def marginal_residuals(plan, m: int, n: int) -> tuple[float, float]:

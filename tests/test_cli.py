@@ -7,7 +7,16 @@ import sys
 import numpy as np
 import pytest
 
-from betaot import SolverConfig, robust_solve, sq_euclidean_cost, transport_value
+from betaot import (
+    SolverConfig,
+    auto_scale,
+    detect_outliers,
+    estimate_z,
+    iteration_budget,
+    robust_solve,
+    sq_euclidean_cost,
+    transport_value,
+)
 from betaot.cli import main, sample_spec
 from betaot.fileio import read_cost_matrix, read_point_cloud, write_matrix, write_point_cloud
 
@@ -304,6 +313,45 @@ class TestDetect:
         # the estimated tolerance for a unit cluster sits below lambda/(beta-1)
         assert run_cli("detect", "--clean", clean_path, "--dirty", dirty_path,
                        "--percentile", 99.0) == 3
+
+    @pytest.mark.parametrize("case, message", [
+        ("far point", "cost matrix must be finite (no NaN/Inf)"),
+        ("other dimension", "point dimensions differ: 3 vs 2"),
+        ("header only", "point cloud must be a nonempty 2-D array"),
+    ])
+    def test_cost_errors_exit_two(self, tmp_path, capsys, case, message):
+        rng = np.random.default_rng(21)
+        clean = rng.standard_normal((40, 3 if case == "other dimension" else 2))
+        dirty = rng.standard_normal((0 if case == "header only" else 30, 2))
+        if case == "far point":
+            dirty[-1, 0] = 1e200  # its squared distances overflow to inf
+        clean_path, dirty_path = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+        write_point_cloud(clean_path, clean)
+        write_point_cloud(dirty_path, dirty)
+        assert run_cli("detect", "--clean", clean_path, "--dirty", dirty_path,
+                       "--auto-scale") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_single_dirty_point_matches_the_dense_pipeline(self, tmp_path):
+        rng = np.random.default_rng(22)
+        clean_path, dirty_path = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+        write_point_cloud(clean_path, rng.standard_normal((40, 2)))
+        write_point_cloud(dirty_path, [[0.1, -0.2]])
+        out = tmp_path / "rep.txt"
+        assert run_cli("detect", "--clean", clean_path, "--dirty", dirty_path,
+                       "--percentile", 99.0, "--auto-scale", "--out", out) == 0
+        report = load_json_report(out)
+        clean, dirty = read_point_cloud(clean_path), read_point_cloud(dirty_path)
+        cfg = SolverConfig(beta=1.2, lam=2.0)
+        z = estimate_z(clean, 99.0, 0)
+        scale, gamma, scaled_z = auto_scale(sq_euclidean_cost(clean, dirty), z, cfg, (1, 20))
+        cfg.iterations = iteration_budget(scaled_z, cfg, 40, 1).budget
+        plan = robust_solve(gamma, cfg)
+        assert (report["n"], report["z"], report["scale"]) == (1, z, scale)
+        assert report["T"] == cfg.iterations
+        assert report["flagged"] == detect_outliers(plan).flagged == []
+        assert report["row_residual_l1"] == plan.row_residual_l1
+        assert report["col_residual_l1"] == plan.col_residual_l1
 
 
 class TestDeterminism:

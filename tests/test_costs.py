@@ -10,6 +10,7 @@ from betaot import (
     DomainError,
     InfeasibleToleranceError,
     SolverConfig,
+    SqEuclideanCost,
     auto_scale,
     estimate_z,
     iteration_budget,
@@ -43,6 +44,52 @@ class TestSqEuclideanCost:
         base = sq_euclidean_cost(x, y)
         scaled = sq_euclidean_cost(c * x, c * y)
         np.testing.assert_allclose(scaled, c * c * base, rtol=1e-12, atol=1e-12)
+
+
+class TestLazySqEuclideanCost:
+    def test_rescaling_keeps_the_bits_of_each_product(self):
+        rng = np.random.default_rng(87)
+        x, y = rng.standard_normal((70, 4)), rng.standard_normal((9, 4))
+        cost = SqEuclideanCost(x, y)
+        assert cost.shape == (70, 9)
+        assert cost.dense().tobytes() == sq_euclidean_cost(x, y).tobytes()
+        expected = 0.3 * (1.7 * sq_euclidean_cost(x, y))
+        assert cost.scaled(1.7).scaled(1.0).scaled(0.3).dense().tobytes() == expected.tobytes()
+        assert cost.dense().tobytes() == sq_euclidean_cost(x, y).tobytes()
+
+    def test_validates_points_as_the_dense_cost_does(self):
+        with pytest.raises(DimensionMismatchError, match="differ: 3 vs 2"):
+            SqEuclideanCost(np.zeros((2, 3)), np.zeros((2, 2)))
+        with pytest.raises(DimensionMismatchError, match="nonempty"):
+            SqEuclideanCost(np.zeros((2, 3)), np.zeros((0, 3)))
+
+    def test_finiteness_is_checked_where_a_cost_can_overflow(self):
+        # The bound fails at 1e150, where every cost is still finite, and
+        # the blocks are checked; at 1e200 a cost overflows to inf.
+        rng = np.random.default_rng(88)
+        x = rng.standard_normal((150, 2))
+        for far, finite in ((1e150, True), (1e200, False)):
+            y = np.vstack([rng.standard_normal((5, 2)), [[far, 0.0]]])
+            cost = SqEuclideanCost(x, y)
+            assert np.isfinite(cost.dense()).all() == finite
+            if finite:
+                cost.check_finite()
+            else:
+                with pytest.raises(ValueError, match="must be finite"):
+                    cost.check_finite()
+        with pytest.raises(ValueError, match="must be finite"), np.errstate(over="ignore"):
+            SqEuclideanCost(x, x).scaled(1e308).check_finite()
+
+    def test_auto_scale_returns_it_unevaluated_with_the_dense_scale(self):
+        rng = np.random.default_rng(89)
+        x, y = rng.standard_normal((40, 3)), 3.0 * rng.standard_normal((50, 3))
+        cfg = SolverConfig(beta=1.2, lam=2.0)
+        for target in ((1, 19), (5, 6), (40, 40)):
+            scale, scaled, scaled_z = auto_scale(sq_euclidean_cost(x, y), 30.0, cfg, target)
+            lazy_scale, lazy, lazy_z = auto_scale(SqEuclideanCost(x, y), 30.0, cfg, target)
+            assert isinstance(lazy, SqEuclideanCost)
+            assert (lazy_scale, lazy_z) == (scale, scaled_z)
+            assert lazy.dense().tobytes() == scaled.tobytes()
 
 
 class TestMedianThreshold:

@@ -10,13 +10,16 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from betaot import (
+    AutoScaleError,
     BudgetExhaustedError,
     DimensionMismatchError,
     DomainError,
     InfeasibleToleranceError,
     NumericalUnderflowError,
     SolverConfig,
+    SqEuclideanCost,
     UnsupportedGeneratorError,
+    auto_scale,
     beta_potential,
     detect_outliers,
     exact_ot,
@@ -27,10 +30,11 @@ from betaot import (
     robust_solve,
     shannon,
     sinkhorn_solve,
+    sq_euclidean_cost,
     squared_euclidean,
     transport_value,
 )
-from betaot.solver import _candidates, _certified_cost, _sparse_row_sums
+from betaot.solver import _candidates, _certified_cost, _row_sums, _sparse_row_sums
 
 
 def _bits(*values):
@@ -437,6 +441,85 @@ class TestConjugateOverflow:
 
 
 @st.composite
+def point_cost_instances(draw):
+    """Random (x, y, cfg, tolerance) for ``robust_solve`` on a lazy cost.
+
+    ``d`` runs from 1 to 12 and ``m`` over several row blocks, rarely a
+    multiple of one; ``n`` is 1 now and then.  A random share of the
+    targets sits far out, so either loop runs.  The tolerance is None
+    (scale 1) or a ``z`` for ``auto_scale``.
+    """
+    d = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 200))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((m, d))
+    y = rng.standard_normal((n, d))
+    far = rng.random(n) < draw(st.floats(0.0, 1.0))
+    y[far] *= draw(st.sampled_from([10.0, 100.0]))
+    cfg = SolverConfig(
+        beta=draw(st.sampled_from([1.2, 1.5, 2.0])),
+        lam=draw(st.sampled_from([0.5, 2.0])),
+        iterations=draw(st.integers(1, 20)),
+    )
+    z = draw(st.one_of(st.none(), st.floats(1.0, 1e4)))
+    return x, y, cfg, z
+
+
+class TestLazyCost:
+    """``robust_solve`` on ``SqEuclideanCost`` equals it on the dense matrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(point_cost_instances())
+    def test_bit_identical_to_the_dense_cost(self, instance):
+        x, y, cfg, z = instance
+        lazy, gamma = SqEuclideanCost(x, y), sq_euclidean_cost(x, y)
+        if z is not None:
+            try:
+                scale, lazy, _ = auto_scale(lazy, z, cfg, (1, 20))
+            except AutoScaleError:
+                assume(False)
+            gamma = scale * gamma
+        m, n = gamma.shape
+        level = _certified_cost(beta_potential(cfg.beta), cfg.lam, m, n, cfg.iterations)
+        candidate = _candidates(gamma, level) is not None
+        event("candidate loop" if candidate else "dense loop")
+        event("n == 1" if n == 1 else "n > 1")
+        plan = robust_solve(lazy, cfg)
+        expected = robust_solve(gamma, cfg)
+        assert (plan.entries is not None) == candidate
+        assert plan.pi.tobytes() == expected.pi.tobytes()
+        assert _bits(plan.value, plan.row_residual_l1, plan.col_residual_l1) == _bits(
+            expected.value, expected.row_residual_l1, expected.col_residual_l1
+        )
+
+    def test_candidate_path_allocates_no_cost_matrix(self):
+        # Six near targets: the candidates are 0.5% of the entries.  The
+        # loop holds about 150 bytes per candidate at its peak and one
+        # 64-row block of costs; the dense cost, rescaled, would hold two
+        # m x n float matrices (16*m*n bytes).
+        rng = np.random.default_rng(14)
+        m, n = 1000, 1200
+        x = rng.standard_normal((m, 3))
+        y = rng.standard_normal((n, 3))
+        y[6:] *= 100.0
+        cfg = SolverConfig(beta=1.2, lam=2.0)
+        tracemalloc.start()
+        try:
+            scale, cost, scaled_z = auto_scale(SqEuclideanCost(x, y), 100.0, cfg, (5, 10))
+            cfg.iterations = iteration_budget(scaled_z, cfg, m, n).budget
+            plan = robust_solve(cost, cfg)
+            flagged = detect_outliers(plan).flagged
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scale != 1.0
+        assert plan.entries is not None
+        assert set(range(6, n)) <= set(flagged)
+        assert peak < 2 * m * n
+
+
+@st.composite
 def sparse_rows(draw):
     """A C-ordered matrix with rows in each regime of numpy's pairwise sum.
 
@@ -470,6 +553,9 @@ class TestSparseRowSums:
         rows, negated = _sparse_row_sums(index, length, count, values, -values)
         assert _bits(*rows) == _bits(*np.add.reduce(dense, axis=1))
         assert _bits(*negated) == _bits(*np.add.reduce(-dense, axis=1))
+        # The candidate loop's split: bincount for rows of at most two entries.
+        (split,) = _row_sums(index, index // length, length, count, values)
+        assert _bits(*split) == _bits(*rows)
         (whole,) = _sparse_row_sums(index, dense.size, 1, values)
         assert _bits(*whole) == _bits(np.add.reduce(dense, axis=None))
 
