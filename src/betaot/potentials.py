@@ -142,29 +142,38 @@ def phi_prime(p, pot: Potential):
 
 
 def _beta_active(t_arr, pot: Potential):
-    """Flat indices of the entries off the conjugate boundary, and their base.
+    """Flat indices of the entries off the conjugate boundary, and a fresh copy of them.
 
-    The base ``(beta-1)*t + 1`` is floored at 0 where a slightly-above-
-    boundary value rounds negative.  Entries exactly on the boundary map
-    to exactly zero in every derivative, so callers start from zeros and
-    raise a power only at the returned indices (see :func:`_dense`): the
-    result is bit-identical to evaluating the whole array.  The indices
-    are None when no entry is on the boundary, as for the gathered active
-    entries the robust solver passes, and the base then covers every
-    entry in C order without a gather.  Raises below the conjugate domain;
-    such entries are off the boundary, so checking the active entries
-    checks them all.
+    Entries exactly on the boundary map to exactly zero in every
+    derivative, so callers raise a power only at the returned indices (see
+    :func:`_dense`), bit-identical to evaluating the whole array.  The
+    indices are None when no entry is on the boundary.  Raises below the
+    conjugate domain.
     """
     lo = pot.domain_lower_dual
     off = t_arr != lo
     active = None if off.all() else np.flatnonzero(off)
-    t_active = t_arr.ravel() if active is None else np.take(t_arr, active)
+    t_active = t_arr.flatten() if active is None else np.take(t_arr, active)
     if np.any(t_active < lo):
         raise DomainError(
             f"conjugate derivative undefined below {lo} for beta={pot.beta}"
         )
-    base = np.maximum((pot.beta - 1.0) * t_active + 1.0, 0.0)
-    return active, base
+    return active, t_active
+
+
+def _base_inplace(t, pot: Potential):
+    """``max((beta-1)*t + 1, 0)`` over ``t``, 0 where ``t`` just above the bound rounds."""
+    return np.maximum(np.add(np.multiply(t, pot.beta - 1.0, out=t), 1.0, out=t), 0.0, out=t)
+
+
+def _psi_pair_inplace(t, pot: Potential):
+    """psi' and psi'/base (0 where psi' is) of a fresh ``t`` above the bound, unchecked."""
+    base = _base_inplace(t, pot)
+    powered = base ** (1.0 / (pot.beta - 1.0))
+    with np.errstate(invalid="ignore"):
+        np.divide(powered, base, out=base)
+    base[powered == 0.0] = 0.0
+    return powered, base
 
 
 def _dense(values, active, shape):
@@ -185,8 +194,9 @@ def psi_prime(t, pot: Potential):
     """
     t_arr = _as_float_array(t)
     if pot.kind == BETA:
-        active, base = _beta_active(t_arr, pot)
-        out = _dense(base ** (1.0 / (pot.beta - 1.0)), active, t_arr.shape)
+        active, t_active = _beta_active(t_arr, pot)
+        powered = _base_inplace(t_active, pot) ** (1.0 / (pot.beta - 1.0))
+        out = _dense(powered, active, t_arr.shape)
     elif pot.kind == SHANNON:
         out = np.exp(t_arr)
     else:
@@ -204,7 +214,8 @@ def psi_second(t, pot: Potential):
     """
     t_arr = _as_float_array(t)
     if pot.kind == BETA:
-        active, base = _beta_active(t_arr, pot)
+        active, t_active = _beta_active(t_arr, pot)
+        base = _base_inplace(t_active, pot)
         exponent = (2.0 - pot.beta) / (pot.beta - 1.0)
         with np.errstate(divide="ignore"):
             powered = np.power(base, exponent)
@@ -224,17 +235,14 @@ def psi_pair(t_arr: np.ndarray, pot: Potential):
     solver loops that need both every iteration.  For the beta kind the
     power is raised only on entries off the boundary; the outputs keep the
     input's shape, with exact zeros on the boundary, so row and column
-    sums over them reduce in the same order as a full evaluation.  An
-    input with no boundary entry (the robust solver passes the gathered
-    active entries of its dual) is evaluated without a gather or scatter.
+    sums over them reduce in the same order as a full evaluation.  The
+    robust solver calls its arithmetic, :func:`_psi_pair_inplace`, directly.
     """
     if pot.kind == BETA:
         t_arr = _as_float_array(t_arr)
-        active, base = _beta_active(t_arr, pot)
-        powered = base ** (1.0 / (pot.beta - 1.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quotient = np.where(base > 0.0, powered / base, 0.0)
-        return _dense(powered, active, t_arr.shape), _dense(quotient, active, t_arr.shape)
+        active, t_active = _beta_active(t_arr, pot)
+        ps, pss = _psi_pair_inplace(t_active, pot)
+        return _dense(ps, active, t_arr.shape), _dense(pss, active, t_arr.shape)
     if pot.kind == SHANNON:
         e = np.exp(t_arr)
         return e, e

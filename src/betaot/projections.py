@@ -10,15 +10,13 @@ marginal cap (1/m after a row step, 1/n after a column step).
 Every truncated step comes from one function, :func:`truncated_step`,
 which takes per line (row or column) the maximum of the clamped dual and
 the sums of ``psi'`` and ``psi''``, so a caller may reduce its dual in
-any layout that keeps those three vectors bit for bit.  The axis-generic
-:func:`truncated_decrement` (``axis=1`` for rows, ``axis=0`` for columns)
-reduces dense conjugate derivatives and the dual *before* its clamp: an
+any layout that keeps those three vectors bit for bit.
+:func:`solver.robust_solve` reduces its dual *before* the clamp: an
 entry at or below ``clamp_bound`` counts as clamped, and the maximum
-along the axis is ``max(theta.max(axis), clamp_bound)``, which equals
-the maximum of the clamped dual bit for bit.  :func:`solver.robust_solve`
-therefore keeps no clamped copy of its dual.  The row and column
-functions below are thin wrappers over the same arithmetic for a clamped
-dual.
+along a line is ``max(theta.max(axis), clamp_bound)``, which equals the
+maximum of the clamped dual bit for bit, so it keeps no clamped copy of
+its dual.  The row and column functions below are thin wrappers over the
+same arithmetic for a clamped dual.
 
 Operations read their inputs and return fresh arrays; only
 :func:`newton_quotient` writes, into the ``fallback`` it returns.  Row
@@ -61,14 +59,9 @@ def newton_quotient(ps, pss, axis: int, size: int, fallback):
     return _quotient(ps.sum(axis=axis), pss.sum(axis=axis), size, fallback)
 
 
-def _line_max(theta, pot: Potential, axis: int):
-    """``max(theta.max(axis), clamp_bound)``, the maximum of the clamped dual."""
-    return np.maximum(theta.max(axis=axis), pot.clamp_bound)
-
-
-def _truncation_bound(theta_hat, pot: Potential, size: int):
-    """``theta_hat - phi_prime(1/size)`` for line maxima ``theta_hat``."""
-    return theta_hat - phi_prime(1.0 / size, pot)
+def _truncation_bound(theta_star, pot: Potential, axis: int, size: int):
+    """The line maxima of the clamped ``theta_star`` minus ``phi_prime(1/size)``."""
+    return np.maximum(theta_star.max(axis=axis), pot.clamp_bound) - phi_prime(1.0 / size, pot)
 
 
 def truncated_step(theta_hat, ps_sum, pss_sum, cap: float, size: int):
@@ -100,17 +93,6 @@ def truncated_step(theta_hat, ps_sum, pss_sum, cap: float, size: int):
     return step
 
 
-def truncated_decrement(theta, ps, pss, pot: Potential, axis: int, size: int):
-    """Truncated single Newton step along ``axis`` (1: rows, 0: columns).
-
-    ``ps``/``pss`` are dense ``psi'``/``psi''`` of the clamped ``theta``;
-    ``theta`` may be unclamped.  The maximum along the axis is taken once.
-    """
-    theta_hat = _line_max(theta, pot, axis)
-    cap = phi_prime(1.0 / size, pot)
-    return truncated_step(theta_hat, ps.sum(axis=axis), pss.sum(axis=axis), cap, size)
-
-
 def _dual_and_size(theta_star, size, axis):
     theta_star = np.asarray(theta_star, dtype=float)
     return theta_star, theta_star.shape[1 - axis] if size is None else size
@@ -119,13 +101,13 @@ def _dual_and_size(theta_star, size, axis):
 def _newton_decrement(theta_star, pot, axis, size):
     theta_star, size = _dual_and_size(theta_star, size, axis)
     ps, pss = psi_pair(theta_star, pot)
-    lower = _truncation_bound(_line_max(theta_star, pot, axis), pot, size)
+    lower = _truncation_bound(theta_star, pot, axis, size)
     return newton_quotient(ps, pss, axis, size, lower)
 
 
 def _truncate(tau, theta_star, pot, axis, size):
     theta_star, size = _dual_and_size(theta_star, size, axis)
-    lower = _truncation_bound(_line_max(theta_star, pot, axis), pot, size)
+    lower = _truncation_bound(theta_star, pot, axis, size)
     return np.maximum(np.asarray(tau, dtype=float), lower)
 
 

@@ -12,10 +12,10 @@ Three solvers share the dual-coordinate machinery:
   stays clamped for all T iterations.  When the remaining candidates are
   few, the loop runs on compressed arrays over them alone, allocates no
   m x n array and returns the plan sparse, as its nonzero entries.
-  Otherwise it owns three m x n buffers, the dual and the
-  ``psi'``/``psi''`` matrices, each half-step rewrites only the entries
-  that were or are active, and the plan is dense.  Both loops give
-  bit-identical plans, values and residuals.
+  Otherwise it runs on the dense dual: only row half-steps write
+  ``psi'``/``psi''`` buffers, column half-steps use ``bincount``, and
+  the plan is dense.  Both loops give bit-identical plans, values and
+  residuals.
 - :func:`sinkhorn_solve` is the classical kernel-space scaling method for
   the Shannon entropy (with an explicit log-space variant).
 - :func:`nasa_solve` is the generic alternating-projection loop with inner
@@ -49,7 +49,8 @@ from .errors import (
     UnsupportedGeneratorError,
 )
 from .potentials import Potential, beta_potential, phi_prime, psi_pair, psi_prime
-from .projections import clamp_dual, newton_quotient, truncated_decrement, truncated_step
+from .potentials import _psi_pair_inplace
+from .projections import clamp_dual, newton_quotient, truncated_step
 
 NASA_INNER_TOL = 1e-12
 NASA_INNER_CAP = 100
@@ -274,9 +275,8 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     dual back to the primal plan.  Deterministic for fixed inputs.
 
     The clamp is implicit (see the module docstring): the conjugate is
-    evaluated on the active entries only, and row and column sums reduce
-    dense ``psi'``/``psi''`` buffers with exact zeros at the clamped
-    entries, so the plan is bit-identical to clamping a copy of the dual
+    evaluated on the active entries only, and line sums keep numpy's
+    order, so the plan is bit-identical to clamping a copy of the dual
     and evaluating the conjugate on all of it.
 
     Entries whose cost is at or above :func:`_certified_cost` stay
@@ -337,7 +337,11 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
 
 
 def _dense_plan(gamma, pot, lam, iterations):
-    """The robust loop on the whole dual."""
+    """The robust loop on the whole dual, the conjugate on its active entries.
+
+    Column sums with ``n > 1`` come from ``bincount``, as in :func:`_candidate_plan`;
+    pairwise sums (rows, an m x 1 column) reduce buffers zero off the active entries.
+    """
     m, n = gamma.shape
     bound = pot.clamp_bound
     # A fresh C-ordered dual, so the flat views below are views even for
@@ -345,18 +349,24 @@ def _dense_plan(gamma, pot, lam, iterations):
     theta = np.negative(gamma, order="C")
     theta /= lam
     ps, pss = np.zeros((m, n)), np.zeros((m, n))
-    # Flat views of the three buffers for the gather and the scatters.
     theta_flat, ps_flat, pss_flat = theta.reshape(-1), ps.reshape(-1), pss.reshape(-1)
-    active = np.empty(0, dtype=np.intp)
+    caps = {size: phi_prime(1.0 / size, pot) for size in (m, n)}
     for _ in range(iterations):
         for axis, size in ((1, m), (0, n)):
-            # psi'/psi'' of the clamped dual are zero off the active set,
-            # so only the previous and the new active entries are written.
-            ps_flat[active] = 0.0
-            pss_flat[active] = 0.0
             active = np.flatnonzero(theta > bound)
-            ps_flat[active], pss_flat[active] = psi_pair(theta_flat[active], pot)
-            step = truncated_decrement(theta, ps, pss, pot, axis, size)
+            ps_active, pss_active = _psi_pair_inplace(theta_flat[active], pot)
+            if axis == 1 or n == 1:
+                ps_flat[active], pss_flat[active] = ps_active, pss_active
+                ps_sum, pss_sum = ps.sum(axis=axis), pss.sum(axis=axis)
+                ps_flat[active] = pss_flat[active] = 0.0
+            else:
+                # Each entry's column; numpy divides by a scalar faster than % n.
+                active -= active // n * n
+                ps_sum = np.bincount(active, weights=ps_active, minlength=n)
+                pss_sum = np.bincount(active, weights=pss_active, minlength=n)
+            del active, ps_active, pss_active  # before the next half-step allocates
+            theta_hat = np.maximum(theta.max(axis=axis), bound)
+            step = truncated_step(theta_hat, ps_sum, pss_sum, caps[size], size)
             theta -= np.expand_dims(step, axis)
 
     # Free the buffers before the plan is allocated, to keep the peak low.
@@ -384,10 +394,10 @@ def _candidate_plan(shape, index, costs, pot, lam, iterations):
         for lines, size in ((rows, m), (cols, n)):
             active = np.flatnonzero(theta > bound)
             values = theta[active]
-            ps, pss = psi_pair(values, pot)
             on = lines[active]
             theta_hat = np.full(size, bound)
             np.maximum.at(theta_hat, on, values)
+            ps, pss = _psi_pair_inplace(values, pot)
             if lines is rows:
                 ps_sum, pss_sum = _row_sums(index[active], on, n, m, ps, pss)
             else:

@@ -20,7 +20,7 @@ from betaot import (
     truncate_col_decrement,
     truncate_row_decrement,
 )
-from betaot.projections import truncated_decrement
+from betaot.projections import truncated_step
 
 
 class TestClampDual:
@@ -230,5 +230,10 @@ class TestDecrementMatchesDenseStep:
         expected = _dense_decrement(theta_star, pot, axis, size)
         step = truncate(decrement(theta_star, pot, size), theta_star, pot, size)
         assert np.array_equal(step, expected)
+        # The robust solver's reductions: the unclamped dual's line maxima
+        # floored at the bound, and dense psi'/psi'' sums.
         ps, pss = dense_psi_pair(theta_star, pot)
-        assert np.array_equal(truncated_decrement(theta, ps, pss, pot, axis, size), expected)
+        theta_hat = np.maximum(theta.max(axis=axis), pot.clamp_bound)
+        cap = phi_prime(1.0 / size, pot)
+        step = truncated_step(theta_hat, ps.sum(axis=axis), pss.sum(axis=axis), cap, size)
+        assert np.array_equal(step, expected)

@@ -368,6 +368,53 @@ class TestRobustSolveMatchesDenseLoop:
             assert flagged == detect_outliers(pi, eps_zero=eps_zero).flagged
 
 
+@st.composite
+def dense_loop_instances(draw):
+    """Random (beta, lam, T, cost) on which ``robust_solve`` runs the dense loop.
+
+    More than a fifth of the entries cost less than the certified level,
+    so the candidate loop does not run.  ``n`` is 1 (summed pairwise by
+    numpy), small or up to 60, and ``m`` up to 300, past numpy's pairwise
+    block of 128 in the ``n == 1`` column.  Costs run from entries active
+    at the start to entries beyond the level, and are F-ordered half the
+    time.
+    """
+    beta = draw(st.sampled_from([1.2, 1.5, 2.0, 2.7]))
+    lam = draw(st.sampled_from([0.5, 2.0, 7.0]))
+    m = draw(st.integers(1, 300))
+    n = draw(st.one_of(st.just(1), st.integers(2, 9), st.integers(10, 60)))
+    iterations = draw(st.integers(1, 12))
+    level = _certified_cost(beta_potential(beta), lam, m, n, iterations)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma = rng.uniform(0.0, level * draw(st.floats(0.05, 1.0)), size=(m, n))
+    far = rng.random((m, n)) < draw(st.floats(0.0, 0.75))
+    gamma[far] = level * rng.uniform(1.0, 2.0, size=int(far.sum()))
+    assume(_candidates(gamma, level) is None)
+    if draw(st.booleans()):
+        gamma = np.asfortranarray(gamma)
+    return beta, lam, iterations, gamma
+
+
+class TestDenseLoop:
+    """The dense loop's column sums come from ``bincount`` when ``n > 1``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(dense_loop_instances())
+    def test_bit_identical_to_dense_reference(self, instance):
+        beta, lam, iterations, gamma = instance
+        m, n = gamma.shape
+        event("n == 1" if n == 1 else "2 <= n <= 9" if n < 10 else "n >= 10")
+        event("m > 128" if m > 128 else "m <= 128")
+        event("F-ordered" if gamma.flags.f_contiguous and n > 1 else "C-ordered")
+        pi, value = dense_robust_solve(gamma, beta, lam, iterations)
+        plan = robust_solve(gamma, SolverConfig(beta=beta, lam=lam, iterations=iterations))
+        assert plan.entries is None
+        assert plan.pi.tobytes() == pi.tobytes()
+        assert _bits(plan.value) == _bits(value)
+        residuals = marginal_residuals(pi, m, n)
+        assert _bits(plan.row_residual_l1, plan.col_residual_l1) == _bits(*residuals)
+
+
 class TestCertifiedCost:
     def test_bounds_the_paper_threshold(self):
         beta, lam, m, n, iterations = 1.2, 2.0, 950, 1000, 10
@@ -517,6 +564,38 @@ class TestLazyCost:
         assert plan.entries is not None
         assert set(range(6, n)) <= set(flagged)
         assert peak < 2 * m * n
+
+
+class TestPlanProperties:
+    """Properties of every robust plan, on both loops and the lazy cost."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_cost_instances(), st.booleans())
+    def test_entries_at_most_the_column_cap(self, instance, lazy):
+        # The last half-step is a column step, truncated so that no dual
+        # entry passes phi_prime(1/n); the plan is its image, up to rounding.
+        x, y, cfg, _ = instance
+        cost = SqEuclideanCost(x, y) if lazy else sq_euclidean_cost(x, y)
+        plan = robust_solve(cost, cfg)
+        n = y.shape[0]
+        event("candidate loop" if plan.entries is not None else "dense loop")
+        event("lazy cost" if lazy else "dense cost")
+        pi = plan.pi
+        assert np.all(pi >= 0.0)
+        assert np.all(pi <= (1.0 / n) * (1.0 + 1e-12))
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_cost_instances(), st.booleans())
+    def test_reruns_bit_identical(self, instance, lazy):
+        x, y, cfg, _ = instance
+        cost = SqEuclideanCost(x, y) if lazy else sq_euclidean_cost(x, y)
+        first, second = robust_solve(cost, cfg), robust_solve(cost, cfg)
+        event("candidate loop" if first.entries is not None else "dense loop")
+        event("lazy cost" if lazy else "dense cost")
+        assert first.pi.tobytes() == second.pi.tobytes()
+        assert _bits(first.value, first.row_residual_l1, first.col_residual_l1) == _bits(
+            second.value, second.row_residual_l1, second.col_residual_l1
+        )
 
 
 @st.composite
