@@ -15,13 +15,15 @@ the entries below its certified level; when those are many, or the
 target cloud has one point, the solver forms the dense matrix and runs
 its dense loop.  Every entry has the same bits as in
 ``scale * sq_euclidean_cost(x, y)``.
+
+The distances come from scipy's ``cdist``, imported by the functions
+that call it, so importing this module does not load scipy.
 """
 
 import copy
 import math
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     AutoScaleError,
@@ -68,6 +70,8 @@ def _point_pair(x, y):
 
 def sq_euclidean_cost(x, y) -> np.ndarray:
     """Pairwise squared Euclidean distances between two point clouds."""
+    from scipy.spatial.distance import cdist
+
     return cdist(*_point_pair(x, y), metric="sqeuclidean")
 
 
@@ -97,6 +101,8 @@ class SqEuclideanCost:
         return out
 
     def _rows(self, start: int, stop: int) -> np.ndarray:
+        from scipy.spatial.distance import cdist
+
         block = cdist(self.x[start:stop], self.y, metric="sqeuclidean")
         for scale in self._scales:
             np.multiply(block, scale, out=block)

@@ -137,22 +137,34 @@ def format_value(v: float) -> str:
     return repr(float(v))
 
 
+def _write_rows(fh, mat: np.ndarray):
+    """Write the rows of ``mat`` as :func:`format_value` writes each entry.
+
+    ``repr`` of a Python float is the shortest round-trip decimal, so
+    only rows that hold an exact zero (of either sign) need a test per
+    entry.  One row at a time becomes Python floats.
+    """
+    has_zero = (mat == 0.0).any(axis=1).tolist()
+    for row, zero in zip(mat, has_zero):
+        values = row.tolist()
+        fields = [repr(v) if v else "0" for v in values] if zero else map(repr, values)
+        fh.write(",".join(fields) + "\n")
+
+
 def write_point_cloud(path, points: np.ndarray, header: bool = True):
     """Write a point cloud with a coordinate header row (x0, x1, ...)."""
     points = np.asarray(points, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(",".join(f"x{i}" for i in range(points.shape[1])) + "\n")
-        for row in points:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+        _write_rows(fh, points)
 
 
 def write_matrix(path, mat: np.ndarray):
     """Write a dense matrix row-major at full round-trip precision."""
     mat = np.asarray(mat, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
-        for row in mat:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+        _write_rows(fh, mat)
 
 
 def sha256_file(path) -> str:

@@ -6,14 +6,15 @@ permutation matrix); rectangular ones are solved as an explicit LP over
 the transport polytope.  A brute-force permutation enumeration is kept as
 an independent cross-check for tiny instances and deliberately shares no
 code with the assignment path.
+
+The assignment and LP solvers come from scipy, imported on the first
+call that needs them, so importing this module does not load scipy.
 """
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import SizeError
 
@@ -44,6 +45,8 @@ def exact_ot(cost) -> ExactSolution:
     if m * n > MAX_CELLS:
         raise SizeError(f"instance with {m * n} cells exceeds the oracle cap {MAX_CELLS}")
     if m == n:
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(gamma)
         plan = np.zeros_like(gamma)
         plan[rows, cols] = 1.0 / n
@@ -53,6 +56,9 @@ def exact_ot(cost) -> ExactSolution:
 
 
 def _exact_ot_lp(gamma: np.ndarray) -> ExactSolution:
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     m, n = gamma.shape
     # Row-sum and column-sum equality constraints on the flattened plan,
     # sparse: 2mn nonzeros instead of a dense (m+n) x mn matrix.

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from betaot import (
 )
 from betaot.cli import main, sample_spec
 from betaot.fileio import read_cost_matrix, read_point_cloud, write_matrix, write_point_cloud
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args):
@@ -384,3 +388,57 @@ class TestProcessEntryPoint:
         assert proc.returncode == 0
         assert "value=" in proc.stdout
         assert plan_path.exists()
+
+
+# Run in a fresh interpreter: argv is the source directory, the cost CSV
+# and an output directory.  Prints, as its last line, the exit codes and
+# the scipy modules loaded before and after the exact solve.
+STARTUP_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from betaot.cli import main
+cost, out = sys.argv[2], sys.argv[3]
+runs = [
+    ["solve", "--cost", cost, "--mode", "sinkhorn", "--out", out + "/sinkhorn.csv"],
+    ["solve", "--cost", cost, "--mode", "robust", "--T", "5", "--out", out + "/robust.csv"],
+    ["solve", "--cost", cost, "--mode", "nasa-euclidean", "--out", out + "/nasa.csv"],
+    ["gen", "--spec", "gaussian:mean=0,0:scale=1:count=5", "--out", out + "/gen.csv"],
+    ["--version"],
+]
+codes = []
+for argv in runs:
+    try:
+        codes.append(main(argv))
+    except SystemExit as exc:
+        codes.append(exc.code)
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+before = scipy_modules()
+codes.append(main(["solve", "--cost", cost, "--mode", "exact", "--out", out + "/exact.csv"]))
+print(json.dumps({"codes": codes, "before": before, "after": len(scipy_modules())}))
+"""
+
+
+class TestStartup:
+    def test_only_commands_that_call_scipy_load_it(self, tmp_path):
+        cost = tmp_path / "c.csv"
+        write_matrix(cost, np.random.default_rng(23).uniform(0.0, 4.0, size=(6, 8)))
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_CHILD, str(SRC), str(cost), str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert child["codes"] == [0] * 6
+        assert child["before"] == []
+        assert child["after"] > 0
+
+        plan_path = tmp_path / "exact_here.csv"
+        assert run_cli("solve", "--cost", cost, "--mode", "exact", "--out", plan_path) == 0
+        fresh = tmp_path / "exact.csv"
+        assert fresh.read_bytes() == plan_path.read_bytes()
+        here = numeric_fields(load_json_report(str(plan_path) + ".report"))
+        there = numeric_fields(load_json_report(str(fresh) + ".report"))
+        assert here.pop("plan_out") == str(plan_path)
+        assert there.pop("plan_out") == str(fresh)
+        assert here == there

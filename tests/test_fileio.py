@@ -4,14 +4,17 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from betaot.fileio import (
     _parse_cost_matrix,
     _parse_point_cloud,
+    format_value,
     read_cost_matrix,
     read_point_cloud,
+    write_matrix,
+    write_point_cloud,
 )
 
 # Mostly valid nonnegative fields, one in ten of the odd kind: negative,
@@ -103,3 +106,55 @@ class TestFastReaderMatchesLineParser:
         path.write_text("x0,x1,x2\n\n")
         assert read_point_cloud(path).shape == (0, 3)
         assert not recwarn.list
+
+
+# Values where the written text changes form: signed zeros, the smallest
+# subnormal, repr's switches to exponent notation below 1e-4 and from
+# 1e16 on, and the non-finite values.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-5, 9.999999999999999e-05, 1e-4,
+               999999999999999.9, 1e15, 9999999999999998.0, 1e16,
+               np.inf, -np.inf, np.nan, -1.5, -2.5e-7]
+ENTRIES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats())
+
+
+@st.composite
+def matrices(draw):
+    """Small float matrices, including 0 x n and m x 0 shapes."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    values = draw(st.lists(ENTRIES, min_size=m * n, max_size=m * n))
+    return np.array(values, dtype=float).reshape(m, n)
+
+
+def _per_entry(mat) -> str:
+    return "".join(",".join(format_value(v) for v in row) + "\n" for row in mat)
+
+
+def _written(write, mat, **kwargs) -> bytes:
+    fd, path = tempfile.mkstemp(suffix=".csv")
+    os.close(fd)
+    try:
+        write(path, mat, **kwargs)
+        with open(path, "rb") as fh:
+            return fh.read()
+    finally:
+        os.unlink(path)
+
+
+class TestWritersMatchFormatValue:
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    @example(np.zeros((0, 3)))
+    @example(np.zeros((3, 0)))
+    @example(np.array([EDGE_VALUES]))
+    @example(np.array(EDGE_VALUES).reshape(4, 4))
+    def test_matrix(self, mat):
+        assert _written(write_matrix, mat) == _per_entry(mat).encode("utf-8")
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices(), st.booleans())
+    @example(np.zeros((0, 3)), True)
+    @example(np.zeros((3, 0)), True)
+    def test_point_cloud(self, points, header):
+        head = ",".join(f"x{i}" for i in range(points.shape[1])) + "\n" if header else ""
+        expected = (head + _per_entry(points)).encode("utf-8")
+        assert _written(write_point_cloud, points, header=header) == expected
