@@ -61,7 +61,6 @@ from .solver import (
     IterationBudget,
     SolverConfig,
     TransportPlan,
-    init_dual,
     iteration_budget,
     marginal_residuals,
     nasa_solve,
@@ -104,7 +103,6 @@ __all__ = [
     "estimate_z",
     "exact_ot",
     "exact_ot_bruteforce",
-    "init_dual",
     "iteration_budget",
     "marginal_residuals",
     "median_threshold",

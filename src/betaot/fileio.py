@@ -6,16 +6,35 @@ Cost matrices and plans are dense comma-separated rows without headers.
 Plans are written with full round-trip precision and exact zeros as the
 literal ``0``.
 
+Nearly all of a large write is ``repr`` of each float, under the GIL.
+So a write of at least ``2 * _MIN_HELPER_ENTRIES`` entries, with two or
+more usable CPUs, spreads its rows over helper processes: the same
+interpreter running the numpy-free ``_csvrows`` module, which holds the
+one row formatter.  Each helper formats one contiguous chunk of rows
+into an anonymous temporary file; this process formats the first chunk
+and appends the helpers' files in order.  The bytes are the same as
+without helpers, since any chunk whose helper fails is formatted here,
+and no helper outlives the call.
+
 Reports are line-oriented ``key=value`` text, key-sorted for stable
 diffs, plus a JSON sidecar with the same fields.
 """
 
 import hashlib
 import json
+import os
+import shutil
+import sys
+import tempfile
 
 import numpy as np
 
+from . import _csvrows
 from .errors import FormatError
+
+# Entries per helper process.  Formatting them takes about 0.15 s, far
+# more than the 15-30 ms a helper takes to start.
+_MIN_HELPER_ENTRIES = 100_000
 
 
 def _parse_numeric_row(line: str):
@@ -137,18 +156,94 @@ def format_value(v: float) -> str:
     return repr(float(v))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _format_rows(fh, rows):
+    """Format ``rows`` here, one row at a time as Python floats."""
+    for row in rows:
+        fh.write(_csvrows.format_row(row.tolist()))
+
+
 def _write_rows(fh, mat: np.ndarray):
     """Write the rows of ``mat`` as :func:`format_value` writes each entry.
 
-    ``repr`` of a Python float is the shortest round-trip decimal, so
-    only rows that hold an exact zero (of either sign) need a test per
-    entry.  One row at a time becomes Python floats.
+    With k = min(usable CPUs, entries // ``_MIN_HELPER_ENTRIES``, rows)
+    of at least 2, the rows are split into k contiguous chunks.  Chunks
+    2..k go to helper processes while this process formats the first;
+    then each helper's output is appended in order.  A chunk whose
+    helper cannot start, exits nonzero or leaves other than one line per
+    row is formatted here instead, so the bytes never depend on helpers.
     """
-    has_zero = (mat == 0.0).any(axis=1).tolist()
-    for row, zero in zip(mat, has_zero):
-        values = row.tolist()
-        fields = [repr(v) if v else "0" for v in values] if zero else map(repr, values)
-        fh.write(",".join(fields) + "\n")
+    m = mat.shape[0]
+    k = min(_usable_cpus(), mat.size // _MIN_HELPER_ENTRIES, m)
+    if k < 2 or not sys.executable:
+        _format_rows(fh, mat)
+        return
+    bounds = [m * i // k for i in range(k + 1)]
+    first, *rest = [mat[a:b] for a, b in zip(bounds, bounds[1:])]
+    helpers = []
+    try:
+        for chunk in rest:
+            helper = _start_helper(chunk)
+            if helper is None:
+                break
+            helpers.append(helper)
+        _format_rows(fh, first)
+        for chunk, (proc, out) in zip(rest, helpers):
+            if proc.wait() == 0 and _holds_rows(out, len(chunk)):
+                fh.flush()
+                shutil.copyfileobj(out, fh.buffer)
+            else:
+                _format_rows(fh, chunk)
+        for chunk in rest[len(helpers):]:
+            _format_rows(fh, chunk)
+    finally:
+        for proc, out in helpers:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            out.close()
+
+
+def _start_helper(chunk):
+    """A helper formatting ``chunk`` into an anonymous file, or None if none starts.
+
+    The helper reads the chunk's doubles from a file of their bytes,
+    written row by row from the array's buffer.  ``subprocess`` is
+    imported here, not at start-up, which only a large write pays for.
+    """
+    import subprocess
+
+    argv = [sys.executable, "-I", "-S", _csvrows.__file__, str(chunk.shape[1])]
+    out = None
+    try:
+        with tempfile.TemporaryFile() as source:
+            for row in chunk:
+                source.write(np.ascontiguousarray(row))
+            source.seek(0)
+            out = tempfile.TemporaryFile()
+            proc = subprocess.Popen(argv, stdin=source, stdout=out, stderr=subprocess.DEVNULL)
+    except OSError:  # no temporary file or no process
+        if out is not None:
+            out.close()
+        return None
+    return proc, out
+
+
+def _holds_rows(out, rows: int) -> bool:
+    """Whether the file ``out`` holds exactly ``rows`` complete lines; rewinds it."""
+    out.seek(0)
+    count, last = 0, b""
+    for block in iter(lambda: out.read(1 << 16), b""):
+        count += block.count(b"\n")
+        last = block[-1:]
+    out.seek(0)
+    return count == rows and last == b"\n"
 
 
 def write_point_cloud(path, points: np.ndarray, header: bool = True):
@@ -161,7 +256,14 @@ def write_point_cloud(path, points: np.ndarray, header: bool = True):
 
 
 def write_matrix(path, mat: np.ndarray):
-    """Write a dense matrix row-major at full round-trip precision."""
+    """Write a dense matrix row-major at full round-trip precision.
+
+    Each entry is :func:`format_value` of it.  With two or more usable
+    CPUs, a matrix of 200,000 or more entries is formatted in helper
+    processes as well as this one (see the module docstring); the file
+    is the same byte for byte, and this process still holds only about
+    one row as Python objects.
+    """
     mat = np.asarray(mat, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
         _write_rows(fh, mat)

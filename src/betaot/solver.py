@@ -139,13 +139,6 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be positive, got {lam}")
 
 
-def init_dual(cost, lam: float) -> np.ndarray:
-    """Dual image of the unconstrained regularized optimum: ``-cost / lam``."""
-    _check_lambda(lam)
-    gamma = _validate_cost(cost)
-    return -gamma / lam
-
-
 def iteration_budget(z: float, cfg: SolverConfig, m: int, n: int) -> IterationBudget:
     """Iteration cap under which no mass reaches columns costing >= z everywhere.
 

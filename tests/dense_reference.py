@@ -22,6 +22,14 @@ from betaot import (
     phi_prime,
 )
 from betaot.projections import EPS_DENOMINATOR
+from betaot.solver import _check_lambda, _validate_cost
+
+
+def init_dual(cost, lam: float) -> np.ndarray:
+    """Dual image of the unconstrained regularized optimum: ``-cost / lam``."""
+    _check_lambda(lam)
+    gamma = _validate_cost(cost)
+    return -gamma / lam
 
 
 def dense_base(t, pot):

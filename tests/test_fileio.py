@@ -1,12 +1,20 @@
-"""CSV readers: the ``np.loadtxt`` fast path against the line parser."""
+"""CSV readers and writers: the fast reader against the line parser, the
+writers (with and without helper processes) against ``format_value``."""
 
+import contextlib
 import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from betaot import SolverConfig, _csvrows, fileio, robust_solve
 from betaot.fileio import (
     _parse_cost_matrix,
     _parse_point_cloud,
@@ -16,6 +24,8 @@ from betaot.fileio import (
     write_matrix,
     write_point_cloud,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Mostly valid nonnegative fields, one in ten of the odd kind: negative,
 # non-finite, empty, non-numeric, or "1_0", which float() accepts and
@@ -158,3 +168,139 @@ class TestWritersMatchFormatValue:
         head = ",".join(f"x{i}" for i in range(points.shape[1])) + "\n" if header else ""
         expected = (head + _per_entry(points)).encode("utf-8")
         assert _written(write_point_cloud, points, header=header) == expected
+
+
+@contextlib.contextmanager
+def helpers_on(cpus, min_entries=1):
+    """Helpers from ``min_entries`` entries on, for ``cpus`` usable CPUs.
+
+    Yields the list of the row counts this process formats itself, one
+    per call of ``fileio._format_rows``.  A write whose helpers all work
+    makes one such call, for its first chunk.
+    """
+    formatted = []
+    format_rows = fileio._format_rows
+
+    def recording(fh, rows):
+        formatted.append(len(rows))
+        format_rows(fh, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_MIN_HELPER_ENTRIES", min_entries)
+        mp.setattr(fileio, "_usable_cpus", lambda: cpus)
+        mp.setattr(fileio, "_format_rows", recording)
+        yield formatted
+
+
+def _in_helpers(write, mat, **kwargs) -> bytes:
+    """What ``write`` writes with every chunk but the first in a helper."""
+    with helpers_on(3) as formatted:
+        out = _written(write, mat, **kwargs)
+    assert len(formatted) == 1
+    return out
+
+
+class TestWritersInHelpersMatchFormatValue:
+    """The writers' test above with three chunks, two of them in helpers.
+
+    A matrix with fewer rows takes one chunk per row; one without
+    entries is written here.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices())
+    @example(np.zeros((0, 3)))
+    @example(np.zeros((3, 0)))
+    @example(np.array([EDGE_VALUES]))
+    @example(np.array(EDGE_VALUES).reshape(2, 8))
+    @example(np.array(EDGE_VALUES).reshape(4, 4))
+    def test_matrix(self, mat):
+        assert _in_helpers(write_matrix, mat) == _per_entry(mat).encode("utf-8")
+
+    @settings(max_examples=50, deadline=None)
+    @given(matrices(), st.booleans())
+    @example(np.zeros((0, 3)), True)
+    @example(np.zeros((3, 0)), True)
+    @example(np.array(EDGE_VALUES).reshape(8, 2), True)
+    def test_point_cloud(self, points, header):
+        head = ",".join(f"x{i}" for i in range(points.shape[1])) + "\n" if header else ""
+        expected = (head + _per_entry(points)).encode("utf-8")
+        assert _in_helpers(write_point_cloud, points, header=header) == expected
+
+
+def _plan(m, n):
+    """A robust plan on a cost with far columns, so it holds exact zeros."""
+    rng = np.random.default_rng(5)
+    gamma = rng.uniform(0.0, 4.0, size=(m, n))
+    gamma[:, : n // 10] += 1e3
+    return robust_solve(gamma, SolverConfig(beta=1.2, lam=1.0, iterations=5)).pi
+
+
+class TestHelpers:
+    def test_plan_at_the_real_threshold(self, capfd):
+        plan = _plan(600, 600)
+        assert (plan == 0.0).any() and (plan > 0.0).any()
+        assert plan.size // fileio._MIN_HELPER_ENTRIES == 3
+        with helpers_on(3, fileio._MIN_HELPER_ENTRIES) as formatted:
+            out = _written(write_matrix, plan)
+        assert out == _per_entry(plan).encode("utf-8")
+        assert formatted == [200]
+        assert capfd.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "executable", ["", "/nonexistent/python", "/bin/false", "/bin/true", "rows-then-exit-1"]
+    )
+    def test_a_failed_helper_changes_no_byte(self, executable, tmp_path, capfd, monkeypatch):
+        mat = np.array(EDGE_VALUES * 4).reshape(8, 8)
+        if executable == "rows-then-exit-1":
+            # As many lines as each helper's chunk has rows (3 of 8), then a failure.
+            fake = tmp_path / "python"
+            fake.write_text("#!/bin/sh\nprintf 'x\\nx\\nx\\n'\nexit 1\n")
+            fake.chmod(0o755)
+            executable = str(fake)
+        monkeypatch.setattr(sys, "executable", executable)
+        with helpers_on(3) as formatted:
+            out = _written(write_matrix, mat)
+        assert out == _per_entry(mat).encode("utf-8")
+        assert sum(formatted) == 8  # every row, none from a helper
+        assert capfd.readouterr().out == ""
+
+    def test_an_error_in_the_parent_reaps_every_helper(self, monkeypatch):
+        started = []
+
+        class Recording(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        def failing(values):
+            raise RuntimeError("parent failed")
+
+        monkeypatch.setattr(subprocess, "Popen", Recording)
+        monkeypatch.setattr(_csvrows, "format_row", failing)
+        with helpers_on(3), pytest.raises(RuntimeError, match="parent failed"):
+            _written(write_matrix, np.ones((9, 4)))
+        assert len(started) == 2
+        assert all(proc.returncode is not None for proc in started)
+
+    def test_parent_memory_stays_per_row(self, monkeypatch):
+        # A 1000 x 1000 matrix is 8 MB; the parent may hold a few rows.
+        mat = np.random.default_rng(7).uniform(0.0, 1.0, size=(1000, 1000))
+        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
+        fd, path = tempfile.mkstemp(suffix=".csv")
+        os.close(fd)
+        tracemalloc.start()
+        try:
+            write_matrix(path, mat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            os.unlink(path)
+        assert peak < 2_000_000
+
+    def test_importing_the_cli_loads_no_subprocess(self):
+        probe = "import sys; import betaot.cli; print('subprocess' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]

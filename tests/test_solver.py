@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import dense_robust_duals, dense_robust_solve, dense_sinkhorn
+from dense_reference import dense_robust_duals, dense_robust_solve, dense_sinkhorn, init_dual
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +23,6 @@ from betaot import (
     beta_potential,
     detect_outliers,
     exact_ot,
-    init_dual,
     iteration_budget,
     marginal_residuals,
     nasa_solve,
