@@ -48,15 +48,6 @@ from .potentials import (
     shannon,
     squared_euclidean,
 )
-from .projections import (
-    apply_col,
-    apply_row,
-    clamp_dual,
-    col_newton_decrement,
-    row_newton_decrement,
-    truncate_col_decrement,
-    truncate_row_decrement,
-)
 from .solver import (
     IterationBudget,
     SolverConfig,
@@ -90,14 +81,10 @@ __all__ = [
     "SqEuclideanCost",
     "TransportPlan",
     "UnsupportedGeneratorError",
-    "apply_col",
-    "apply_row",
     "auto_scale",
     "baseline_detect",
     "beta_potential",
     "bregman_div",
-    "clamp_dual",
-    "col_newton_decrement",
     "detect_outliers",
     "detection_metrics",
     "estimate_z",
@@ -112,12 +99,9 @@ __all__ = [
     "psi_prime",
     "psi_second",
     "robust_solve",
-    "row_newton_decrement",
     "shannon",
     "sinkhorn_solve",
     "sq_euclidean_cost",
     "squared_euclidean",
     "transport_value",
-    "truncate_col_decrement",
-    "truncate_row_decrement",
 ]

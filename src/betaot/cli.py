@@ -45,6 +45,7 @@ from .oracle import exact_ot
 from .potentials import squared_euclidean
 from .solver import (
     SolverConfig,
+    TransportPlan,
     iteration_budget,
     marginal_residuals,
     nasa_solve,
@@ -120,23 +121,13 @@ def sample_spec(spec: str, seed: int) -> np.ndarray:
     return np.zeros((0, dim))
 
 
-def _config_from_args(args) -> SolverConfig:
-    return SolverConfig(
-        beta=args.beta,
-        lam=args.lam,
-        sinkhorn_tol=getattr(args, "sinkhorn_tol", 1e-9),
-        max_iter=getattr(args, "max_iter", 10000),
-        eps_zero=getattr(args, "eps_zero", 1e-12),
-    )
-
-
 def _run_robust(gamma, z, args, fields):
     """Shared robust-mode pipeline: optional rescale, budget, solve.
 
     Returns the plan; the reported value is always w.r.t. the unscaled
     input cost.
     """
-    cfg = _config_from_args(args)
+    cfg = SolverConfig(beta=args.beta, lam=args.lam)
     scale = 1.0
     gamma_solve, z_solve = gamma, z
     if args.auto_scale:
@@ -167,7 +158,36 @@ def _run_robust(gamma, z, args, fields):
     return plan
 
 
-def _finish_with_plan(plan, gamma, fields):
+def _solve_mode(gamma, args, fields):
+    """Run the ``--mode`` solver on the dense cost ``gamma``; record its report fields.
+
+    Returns the :class:`TransportPlan`.  Its ``pi`` is not read here, so
+    a sparse robust plan stays sparse unless the caller reads it.
+    """
+    if args.mode == "exact":
+        sol = exact_ot(gamma)
+        residuals = marginal_residuals(sol.plan, *gamma.shape)
+        # No iteration count: a None field is left out of the report.
+        plan = TransportPlan(sol.plan, sol.value, *residuals, iterations_run=None)
+    elif args.mode == "robust":
+        z = args.z if args.z is not None else median_threshold(gamma)
+        plan = _run_robust(gamma, z, args, fields)
+    elif args.mode == "nasa-euclidean":
+        fields["lambda"] = args.lam
+        plan = nasa_solve(
+            gamma, args.lam, squared_euclidean(), args.sinkhorn_tol, args.max_iter
+        )
+    else:
+        fields["lambda"] = args.lam
+        try:
+            plan = sinkhorn_solve(
+                gamma, args.lam, args.sinkhorn_tol, args.max_iter, args.log_space
+            )
+        except NumericalUnderflowError:
+            plan = sinkhorn_solve(
+                gamma, args.lam, args.sinkhorn_tol, args.max_iter, log_space=True
+            )
+            fields["sinkhorn_fallback"] = "log_space"
     # The solve ran on gamma itself unless robust mode rescaled it.
     if fields.get("scale", 1.0) == 1.0:
         value = plan.value
@@ -216,36 +236,7 @@ def cmd_distance(args) -> int:
         "sha256_x": sha256_file(args.x),
         "sha256_y": sha256_file(args.y),
     }
-    if args.mode == "exact":
-        sol = exact_ot(gamma)
-        row_res, col_res = marginal_residuals(sol.plan, m, n)
-        fields.update(
-            value=sol.value,
-            row_residual_l1=row_res,
-            col_residual_l1=col_res,
-        )
-    elif args.mode == "sinkhorn":
-        fields.update(**{"lambda": args.lam})
-        try:
-            plan = sinkhorn_solve(
-                gamma, args.lam, args.sinkhorn_tol, args.max_iter, args.log_space
-            )
-        except NumericalUnderflowError:
-            plan = sinkhorn_solve(
-                gamma, args.lam, args.sinkhorn_tol, args.max_iter, log_space=True
-            )
-            fields["sinkhorn_fallback"] = "log_space"
-        _finish_with_plan(plan, gamma, fields)
-    elif args.mode == "nasa-euclidean":
-        fields.update(**{"lambda": args.lam})
-        plan = nasa_solve(
-            gamma, args.lam, squared_euclidean(), args.sinkhorn_tol, args.max_iter
-        )
-        _finish_with_plan(plan, gamma, fields)
-    else:
-        z = args.z if args.z is not None else median_threshold(gamma)
-        plan = _run_robust(gamma, z, args, fields)
-        _finish_with_plan(plan, gamma, fields)
+    _solve_mode(gamma, args, fields)
     fields["wall_ms"] = (time.perf_counter() - start) * 1000.0
     sys.stdout.write(render_report(fields))
     if args.out:
@@ -314,56 +305,25 @@ def cmd_solve(args) -> int:
         "sha256_cost": sha256_file(args.cost),
         "plan_out": args.out,
     }
-    if args.mode == "exact":
-        sol = exact_ot(gamma)
-        pi = sol.plan
-        row_res, col_res = marginal_residuals(pi, m, n)
-        fields.update(value=sol.value, row_residual_l1=row_res, col_residual_l1=col_res)
-    elif args.mode == "sinkhorn":
-        fields.update(**{"lambda": args.lam})
-        try:
-            plan = sinkhorn_solve(
-                gamma, args.lam, args.sinkhorn_tol, args.max_iter, args.log_space
-            )
-        except NumericalUnderflowError:
-            plan = sinkhorn_solve(
-                gamma, args.lam, args.sinkhorn_tol, args.max_iter, log_space=True
-            )
-            fields["sinkhorn_fallback"] = "log_space"
-        pi = plan.pi
-        _finish_with_plan(plan, gamma, fields)
-    elif args.mode == "nasa-euclidean":
-        fields.update(**{"lambda": args.lam})
-        plan = nasa_solve(
-            gamma, args.lam, squared_euclidean(), args.sinkhorn_tol, args.max_iter
-        )
-        pi = plan.pi
-        _finish_with_plan(plan, gamma, fields)
-    else:
-        z = args.z if args.z is not None else median_threshold(gamma)
-        plan = _run_robust(gamma, z, args, fields)
-        pi = plan.pi
-        _finish_with_plan(plan, gamma, fields)
-    write_matrix(args.out, pi)
+    plan = _solve_mode(gamma, args, fields)
+    write_matrix(args.out, plan.pi)
     fields["wall_ms"] = (time.perf_counter() - start) * 1000.0
     sys.stdout.write(render_report(fields))
     write_report(str(args.out) + ".report", fields)
     return 0
 
 
-def _add_common_solver_flags(p, modes=True):
-    if modes:
-        p.add_argument("--mode", choices=MODES, default="robust")
+def _add_common_solver_flags(p):
     p.add_argument("--beta", type=float, default=1.2)
     p.add_argument("--lambda", dest="lam", type=float, default=2.0)
     p.add_argument("--z", type=float, default=None)
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--auto-scale", dest="auto_scale", action="store_true")
     p.add_argument("--target-T", dest="target_T", default="1..20")
-    p.add_argument("--out", default=None)
 
 
-def _add_iterative_flags(p):
+def _add_mode_flags(p):
+    p.add_argument("--mode", choices=MODES, default="robust")
     p.add_argument("--sinkhorn-tol", dest="sinkhorn_tol", type=float, default=1e-9)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=10000)
     p.add_argument("--log-space", dest="log_space", action="store_true")
@@ -386,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     dist = sub.add_parser("distance", help="transport value between two point clouds")
     dist.add_argument("--x", required=True)
     dist.add_argument("--y", required=True)
+    dist.add_argument("--out", default=None)
     _add_common_solver_flags(dist)
-    _add_iterative_flags(dist)
+    _add_mode_flags(dist)
     dist.set_defaults(func=cmd_distance)
 
     det = sub.add_parser("detect", help="flag outliers in a contaminated cloud")
@@ -397,13 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--seed", type=int, default=0)
     det.add_argument("--truth", default=None)
     det.add_argument("--eps-zero", dest="eps_zero", type=float, default=1e-12)
-    _add_common_solver_flags(det, modes=False)
+    det.add_argument("--out", default=None)
+    _add_common_solver_flags(det)
     det.set_defaults(func=cmd_detect)
 
     solve = sub.add_parser("solve", help="run a solver on a raw cost matrix")
     solve.add_argument("--cost", required=True)
+    solve.add_argument("--out", required=True, help="plan CSV; the report goes to OUT.report")
     _add_common_solver_flags(solve)
-    _add_iterative_flags(solve)
+    _add_mode_flags(solve)
     solve.set_defaults(func=cmd_solve)
     return parser
 

@@ -10,11 +10,11 @@ qualify as outliers; :func:`auto_scale` picks that factor.
 :class:`SqEuclideanCost` stands for the squared Euclidean cost of two
 point clouds, rescaled or not, without forming the m x n matrix.
 :func:`auto_scale` rescales it without evaluating it, and
-``solver.robust_solve`` evaluates it in blocks of rows and keeps only
-the entries below its certified level; when those are many, or the
-target cloud has one point, the solver forms the dense matrix and runs
-its dense loop.  Every entry has the same bits as in
-``scale * sq_euclidean_cost(x, y)``.
+``solver.robust_solve`` walks it in blocks of rows (``cost[a:b]``), as
+it walks a dense cost, and keeps only the entries below its certified
+level; when those are many, or the target cloud has one point, the
+solver forms the dense matrix and runs its dense loop.  Every entry has
+the same bits as in ``scale * sq_euclidean_cost(x, y)``.
 
 The distances come from scipy's ``cdist``, imported by the functions
 that call it, so importing this module does not load scipy.
@@ -31,15 +31,12 @@ from .errors import (
     DimensionMismatchError,
     InfeasibleToleranceError,
 )
-from .solver import SolverConfig, _validate_cost, iteration_budget
+from .solver import _BLOCK_ROWS, SolverConfig, _validate_cost, iteration_budget
 
 # Offset added to the inverted budget target so the re-evaluated bound
 # lands strictly above the integer target instead of exactly on it
 # (where the strict-inequality budget would drop by one).
 _TARGET_NUDGE = 1e-9
-
-# Rows of a SqEuclideanCost evaluated at once: a block holds 64*n floats.
-_BLOCK_ROWS = 64
 
 # While d * (max|x| + max|y|)^2, times the scales, stays below this, no
 # squared distance can overflow; the margin to the largest float covers
@@ -80,11 +77,13 @@ class SqEuclideanCost:
 
     Holds the two point clouds (validated as :func:`sq_euclidean_cost`
     validates them) and the scales applied so far, and never the m x n
-    matrix.  ``scaled(s)`` multiplies it by ``s``; ``dense()`` forms the
-    matrix.  ``cdist`` computes each pair on its own, and each scale
-    multiplies each entry once, so every entry, whether from a block or
-    from ``dense()``, has the bits of ``s * sq_euclidean_cost(x, y)``.
-    ``solver.robust_solve`` and :func:`auto_scale` accept it.
+    matrix.  ``scaled(s)`` multiplies it by ``s``; ``cost[a:b]`` evaluates
+    rows ``a`` to ``b - 1``, as the same slice of the matrix gives them;
+    ``dense()`` forms the matrix.  ``cdist`` computes each pair on its
+    own, and each scale multiplies each entry once, so every entry,
+    whether from a block or from ``dense()``, has the bits of
+    ``s * sq_euclidean_cost(x, y)``.  ``solver.robust_solve`` and
+    :func:`auto_scale` accept it.
     """
 
     def __init__(self, x, y):
@@ -100,17 +99,17 @@ class SqEuclideanCost:
             out._scales = self._scales + (scale,)
         return out
 
-    def _rows(self, start: int, stop: int) -> np.ndarray:
+    def __getitem__(self, rows: slice) -> np.ndarray:
         from scipy.spatial.distance import cdist
 
-        block = cdist(self.x[start:stop], self.y, metric="sqeuclidean")
+        block = cdist(self.x[rows], self.y, metric="sqeuclidean")
         for scale in self._scales:
             np.multiply(block, scale, out=block)
         return block
 
     def dense(self) -> np.ndarray:
         """The m x n cost matrix."""
-        return self._rows(0, self.shape[0])
+        return self[:]
 
     def check_finite(self) -> None:
         """Raise ``ValueError`` unless every cost is finite.
@@ -126,25 +125,7 @@ class SqEuclideanCost:
             bound *= abs(scale)
         if not bound < _FINITE_BOUND:
             for start in range(0, self.shape[0], _BLOCK_ROWS):
-                _validate_cost(self._rows(start, start + _BLOCK_ROWS))
-
-    def entries_below(self, level: float, limit: float):
-        """Row-major flat indices and values of the costs below ``level``.
-
-        Returns None as soon as more than ``limit`` are found.  Holds one
-        block of rows at a time besides the entries found.
-        """
-        n = self.shape[1]
-        index, values, count = [], [], 0
-        for start in range(0, self.shape[0], _BLOCK_ROWS):
-            block = self._rows(start, start + _BLOCK_ROWS).reshape(-1)
-            found = np.flatnonzero(block < level)
-            count += found.size
-            if count > limit:
-                return None
-            index.append(found + start * n)
-            values.append(block[found])
-        return np.concatenate(index), np.concatenate(values)
+                _validate_cost(self[start:start + _BLOCK_ROWS])
 
 
 def median_threshold(cost) -> float:

@@ -16,7 +16,11 @@ entry at or below ``clamp_bound`` counts as clamped, and the maximum
 along a line is ``max(theta.max(axis), clamp_bound)``, which equals the
 maximum of the clamped dual bit for bit, so it keeps no clamped copy of
 its dual.  The row and column functions below are thin wrappers over the
-same arithmetic for a clamped dual.
+same arithmetic for a clamped dual.  They and :func:`clamp_dual` are not
+exported from ``betaot``; they stay here, public, because the tests'
+dense reference loop is built from them and the benchmark's per-layer
+spans (``perfbench/spans.py``) find them by module and name, so removing
+or renaming one turns its metric absent.
 
 Operations read their inputs and return fresh arrays; only
 :func:`newton_quotient` writes, into the ``fallback`` it returns.  Row

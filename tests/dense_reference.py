@@ -13,15 +13,8 @@ where the package tests the marginals of the scaling vectors.
 
 import numpy as np
 
-from betaot import (
-    apply_col,
-    apply_row,
-    beta_potential,
-    clamp_dual,
-    marginal_residuals,
-    phi_prime,
-)
-from betaot.projections import EPS_DENOMINATOR
+from betaot import beta_potential, marginal_residuals, phi_prime
+from betaot.projections import EPS_DENOMINATOR, apply_col, apply_row, clamp_dual
 from betaot.solver import _check_lambda, _validate_cost
 
 

@@ -13,9 +13,13 @@ from betaot import (
     auto_scale,
     detect_outliers,
     estimate_z,
+    exact_ot,
     iteration_budget,
+    nasa_solve,
     robust_solve,
+    sinkhorn_solve,
     sq_euclidean_cost,
+    squared_euclidean,
     transport_value,
 )
 from betaot.cli import main, sample_spec
@@ -257,12 +261,115 @@ class TestSolve:
         recomputed = transport_value(plan, read_cost_matrix(cost))
         assert abs(report["value"] - recomputed) <= 1e-9 * max(1.0, abs(recomputed))
 
+    def test_missing_out_is_a_usage_error(self, tmp_path, capsys):
+        cost = tmp_path / "c.csv"
+        cost.write_text("0,1\n1,0\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("solve", "--cost", cost, "--mode", "sinkhorn")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--out" in err
+        assert "Traceback" not in err
+
     def test_exact_mode_plan(self, tmp_path):
         cost = tmp_path / "c.csv"
         cost.write_text("0,1\n1,0\n")
         plan_path = tmp_path / "plan.csv"
         assert run_cli("solve", "--cost", cost, "--mode", "exact", "--out", plan_path) == 0
         np.testing.assert_array_equal(read_cost_matrix(plan_path), 0.5 * np.eye(2))
+
+
+# Report keys of every ``distance``/``solve`` run, of each command and of each mode.
+COMMON_KEYS = {"command", "mode", "m", "n", "value", "row_residual_l1", "col_residual_l1",
+               "wall_ms"}
+COMMAND_KEYS = {"distance": {"sha256_x", "sha256_y"}, "solve": {"sha256_cost", "plan_out"}}
+MODE_KEYS = {
+    "robust": {"beta", "lambda", "z", "T", "scale", "robustness_certified", "iterations_run"},
+    "sinkhorn": {"lambda", "iterations_run", "converged"},
+    "exact": set(),
+    "nasa-euclidean": {"lambda", "iterations_run", "converged"},
+}
+
+
+def _library_plan(mode, gamma, *, log_space=False):
+    """The plan array and value the library gives for the CLI's defaults in ``mode``."""
+    if mode == "exact":
+        sol = exact_ot(gamma)
+        return sol.plan, sol.value
+    if mode == "robust":
+        plan = robust_solve(gamma, SolverConfig(beta=1.2, lam=2.0, iterations=3))
+    elif mode == "sinkhorn":
+        plan = sinkhorn_solve(gamma, 2.0, log_space=log_space)
+    else:
+        plan = nasa_solve(gamma, 2.0, squared_euclidean())
+    return plan.pi, plan.value
+
+
+class TestModeReports:
+    """Every mode of ``distance`` and ``solve``: exit code, report keys, sidecar, output."""
+
+    def _run(self, tmp_path, capsys, command, mode, x, y, *flags):
+        """Runs one command; returns its stdout, report file, JSON sidecar and cost."""
+        x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_point_cloud(x_path, x)
+        write_point_cloud(y_path, y)
+        gamma = sq_euclidean_cost(x, y)
+        if command == "distance":
+            out = report = tmp_path / "rep.txt"
+            inputs = ["--x", x_path, "--y", y_path]
+        else:
+            cost = tmp_path / "c.csv"
+            write_matrix(cost, gamma)
+            gamma = read_cost_matrix(cost)
+            out, report = tmp_path / "plan.csv", tmp_path / "plan.csv.report"
+            inputs = ["--cost", cost]
+        capsys.readouterr()
+        assert run_cli(command, *inputs, "--mode", mode, *flags, "--out", out) == 0
+        stdout = capsys.readouterr().out
+        return stdout, report, load_json_report(report), gamma
+
+    @pytest.mark.parametrize("mode", sorted(MODE_KEYS))
+    @pytest.mark.parametrize("command", ["distance", "solve"])
+    def test_mode_report(self, tmp_path, capsys, command, mode):
+        rng = np.random.default_rng(31)
+        x, y = rng.standard_normal((6, 2)), rng.standard_normal((9, 2))
+        flags = ["--T", 3] if mode == "robust" else []
+        stdout, report, sidecar, gamma = self._run(
+            tmp_path, capsys, command, mode, x, y, *flags
+        )
+        keys = COMMON_KEYS | COMMAND_KEYS[command] | MODE_KEYS[mode]
+        assert report.read_text() == stdout
+        assert {line.split("=", 1)[0] for line in stdout.splitlines()} == keys
+        assert set(sidecar) == keys
+        assert (sidecar["command"], sidecar["mode"], sidecar["m"], sidecar["n"]) == (
+            command, mode, 6, 9
+        )
+        pi, value = _library_plan(mode, gamma)
+        assert sidecar["value"] == value
+        if command == "solve":
+            assert sidecar["plan_out"] == str(tmp_path / "plan.csv")
+            # The writer prints -0.0 as 0, so compare values, not bits.
+            assert np.array_equal(read_cost_matrix(tmp_path / "plan.csv"), pi)
+
+    @pytest.mark.parametrize("command", ["distance", "solve"])
+    @pytest.mark.parametrize("log_space", [False, True])
+    def test_sinkhorn_log_space(self, tmp_path, capsys, command, log_space):
+        # Clusters about 60 apart with lambda=1: the kernel underflows, so
+        # kernel space falls back to log space and reports it.
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((8, 2))
+        y = np.array([60.0, 60.0]) + rng.standard_normal((8, 2))
+        flags = ["--lambda", 1.0] + (["--log-space"] if log_space else [])
+        stdout, report, sidecar, gamma = self._run(
+            tmp_path, capsys, command, "sinkhorn", x, y, *flags
+        )
+        keys = COMMON_KEYS | COMMAND_KEYS[command] | MODE_KEYS["sinkhorn"]
+        if not log_space:
+            keys = keys | {"sinkhorn_fallback"}
+            assert sidecar["sinkhorn_fallback"] == "log_space"
+        assert report.read_text() == stdout
+        assert set(sidecar) == keys
+        assert sidecar["value"] == sinkhorn_solve(gamma, 1.0, log_space=True).value
 
 
 class TestDetect:

@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from betaot import (
+    AutoScaleError,
     SolverConfig,
+    SqEuclideanCost,
+    auto_scale,
     baseline_detect,
     detect_outliers,
     detection_metrics,
     iteration_budget,
     robust_solve,
+    sq_euclidean_cost,
 )
 
 
@@ -121,3 +127,83 @@ class TestConsistencyWithGuaranteedZeros:
             flagged = set(detect_outliers(plan, eps_zero=0.0).flagged)
             assert planted <= flagged
             assert planted <= set(baseline_detect(gamma, z).flagged)
+
+
+@st.composite
+def point_clouds(draw):
+    """Random (x, y, z): two clouds with far points on both sides, and a tolerance.
+
+    Far points sit 10 to 100 times out, so some rows and columns have
+    every cost at or above ``z`` and others fall short of it.
+    """
+    d = draw(st.integers(1, 5))
+    m, n = draw(st.integers(4, 70)), draw(st.integers(2, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = rng.standard_normal((m, d)), rng.standard_normal((n, d))
+    for cloud in (x, y):
+        far = rng.random(cloud.shape[0]) < draw(st.floats(0.0, 0.5))
+        cloud[far] *= draw(st.sampled_from([10.0, 30.0, 100.0]))
+    return x, y, draw(st.floats(5.0, 500.0))
+
+
+def _detect_within_budget(cost, dense, z):
+    """Flag the columns of ``cost`` after a solve within the budget for ``z``.
+
+    Returns the certified columns (every cost of ``dense``, the same
+    matrix, reaches ``z``), the flagged set and the plan.
+    """
+    cfg = SolverConfig(beta=1.2, lam=2.0)
+    try:
+        _, scaled, scaled_z = auto_scale(cost, z, cfg, (1, 20))
+    except AutoScaleError:
+        assume(False)
+    cfg.iterations = iteration_budget(scaled_z, cfg, *dense.shape).budget
+    plan = robust_solve(scaled, cfg)
+    certified = np.flatnonzero(dense.min(axis=0) >= z)
+    return certified, set(detect_outliers(plan, eps_zero=0.0).flagged), plan
+
+
+class TestMetamorphic:
+    """Relabelling or transposing the problem moves the certified sets with it.
+
+    Rounding depends on the order of the entries, so only the sets that
+    the zero-mass theorem fixes are compared, not whole plans.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(point_clouds(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_permutations_permute_the_certified_columns(self, clouds, lazy, seed):
+        x, y, z = clouds
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.permutation(x.shape[0]), rng.permutation(y.shape[0])
+        results = []
+        for xs, ys in ((x, y), (x[rows], y[cols])):
+            dense = sq_euclidean_cost(xs, ys)
+            cost = SqEuclideanCost(xs, ys) if lazy else dense
+            results.append(_detect_within_budget(cost, dense, z))
+        (certified, flagged, plan), (moved, moved_flagged, moved_plan) = results
+        event("lazy cost" if lazy else "dense cost")
+        event("some certified" if certified.size else "none certified")
+        assert sorted(cols[moved]) == certified.tolist()
+        assert set(certified) <= flagged and set(moved) <= moved_flagged
+        assert np.all(plan.pi[:, certified] == 0.0)
+        assert np.all(moved_plan.pi[:, moved] == 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(point_clouds(), st.booleans())
+    def test_source_outliers_through_the_transpose(self, clouds, lazy):
+        x, y, z = clouds
+        gamma = sq_euclidean_cost(x, y)
+        # Rows of gamma whose costs all reach z: the source outliers.
+        source = np.flatnonzero(gamma.min(axis=1) >= z).tolist()
+        event("lazy cost" if lazy else "dense cost")
+        event("some certified" if source else "none certified")
+        # Through the transpose (an F-ordered view of gamma, or the lazy
+        # cost with the clouds swapped) and on the transposed cost as a
+        # matrix of its own.
+        contiguous = np.ascontiguousarray(gamma.T)
+        for cost in (SqEuclideanCost(y, x) if lazy else gamma.T, contiguous):
+            certified, flagged, plan = _detect_within_budget(cost, contiguous, z)
+            assert certified.tolist() == source
+            assert set(source) <= flagged
+            assert np.all(plan.pi[:, source] == 0.0)

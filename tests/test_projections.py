@@ -6,21 +6,17 @@ from dense_reference import _dense_decrement, dense_psi_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betaot import (
+from betaot import beta_potential, phi_prime, psi_prime, shannon, squared_euclidean
+from betaot.projections import (
     apply_col,
     apply_row,
-    beta_potential,
     clamp_dual,
     col_newton_decrement,
-    phi_prime,
-    psi_prime,
     row_newton_decrement,
-    shannon,
-    squared_euclidean,
     truncate_col_decrement,
     truncate_row_decrement,
+    truncated_step,
 )
-from betaot.projections import truncated_step
 
 
 class TestClampDual:

@@ -33,7 +33,20 @@ from betaot import (
     squared_euclidean,
     transport_value,
 )
-from betaot.solver import _candidates, _certified_cost, _row_sums, _sparse_row_sums
+from betaot.solver import (
+    _BLOCK_ROWS,
+    CANDIDATE_SHARE_MAX,
+    _candidate_entries,
+    _certified_cost,
+    _row_sums,
+    _sparse_row_sums,
+)
+
+
+def _candidates(gamma, level):
+    """Flat indices of the candidate loop's entries, or None when the dense loop runs."""
+    found = _candidate_entries(gamma, level)
+    return None if found is None else found[0]
 
 
 def _bits(*values):
@@ -563,6 +576,42 @@ class TestLazyCost:
         assert plan.entries is not None
         assert set(range(6, n)) <= set(flagged)
         assert peak < 2 * m * n
+
+
+class TestCandidateWalk:
+    """One row-block walk finds the candidates of dense and lazy costs alike."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        point_cost_instances(),
+        st.one_of(st.floats(0.0, 0.25), st.floats(0.0, 1.0)),
+        st.booleans(),
+    )
+    def test_equals_the_whole_matrix_selection(self, instance, quantile, fortran):
+        x, y, _, _ = instance
+        gamma = sq_euclidean_cost(x, y)
+        m, n = gamma.shape
+        level = float(np.quantile(gamma, quantile))
+        below = np.flatnonzero(gamma < level)
+        few = n > 1 and below.size <= CANDIDATE_SHARE_MAX * gamma.size
+        event("candidates" if few else "None")
+        event("several blocks" if m > _BLOCK_ROWS else "one block")
+        dense = np.asfortranarray(gamma) if fortran else gamma
+        for cost in (dense, SqEuclideanCost(x, y)):
+            found = _candidate_entries(cost, level)
+            assert (found is not None) == few
+            if few:
+                index, costs = found
+                assert index.tobytes() == below.tobytes()
+                assert costs.tobytes() == gamma.reshape(-1)[below].tobytes()
+
+
+    def test_exactly_a_fifth_is_few(self):
+        gamma = np.ones((10, 10))
+        gamma.reshape(-1)[::5] = 0.0
+        assert _candidate_entries(gamma, 0.5)[0].size == 20
+        gamma[0, 1] = 0.0
+        assert _candidate_entries(gamma, 0.5) is None
 
 
 class TestPlanProperties:
