@@ -12,9 +12,9 @@ point clouds, rescaled or not, without forming the m x n matrix.
 :func:`auto_scale` rescales it without evaluating it, and
 ``solver.robust_solve`` walks it in blocks of rows (``cost[a:b]``), as
 it walks a dense cost, and keeps only the entries below its certified
-level; when those are many, or the target cloud has one point, the
-solver forms the dense matrix and runs its dense loop.  Every entry has
-the same bits as in ``scale * sq_euclidean_cost(x, y)``.
+level; when those are many, the solver forms the dense matrix and runs
+its dense loop.  Every entry has the same bits as in
+``scale * sq_euclidean_cost(x, y)``.
 
 The distances come from scipy's ``cdist``, imported by the functions
 that call it, so importing this module does not load scipy.

@@ -13,11 +13,10 @@ Three solvers share the dual-coordinate machinery:
   dense or evaluated on demand, finds the remaining candidates.  When
   they are few, the loop runs on compressed arrays over them alone,
   allocates no m x n array and returns the plan sparse, as its nonzero
-  entries.
-  Otherwise it runs on the dense dual: only row half-steps write
-  ``psi'``/``psi''`` buffers, column half-steps use ``bincount``, and
-  the plan is dense.  Both loops give bit-identical plans, values and
-  residuals.
+  entries.  Otherwise it runs on the dense dual and the plan is dense.
+  Both loops form every line sum of a half-step sequentially, with
+  ``bincount`` over the active entries in row-major order, so they give
+  bit-identical plans, values and residuals.
 - :func:`sinkhorn_solve` is the classical kernel-space scaling method for
   the Shannon entropy (with an explicit log-space variant).
 - :func:`nasa_solve` is the generic alternating-projection loop with inner
@@ -30,8 +29,8 @@ value, L1 marginal residuals, and the iteration count.  A sparse plan
 keeps its entries and builds the dense ``pi`` only when it is read;
 :func:`transport_value`, :func:`marginal_residuals` and
 ``detect.detect_outliers`` work from the entries, and give the same
-floats as from the dense plan: row sums and whole-matrix sums follow
-numpy's pairwise summation (:func:`_sparse_row_sums`).  Solves mutate
+floats as from the dense plan: these diagnostics follow numpy's
+pairwise summation (:func:`_sparse_row_sums`).  Solves mutate
 only the dual buffers they allocate, never their inputs; concurrent
 solves share nothing.
 """
@@ -214,6 +213,8 @@ def _certified_cost(pot: Potential, lam: float, m: int, n: int, iterations: int)
     margin, which covers its own roundings, so a cost at or above it has
     ``fl(-cost/lam) <= x``.  A larger margin only keeps more entries in
     the loop.  Beyond ``T*u = 1/16`` every entry is kept (``inf``).
+    The certificate does not depend on the order in which a line's
+    ``psi'``/``psi''`` terms are summed: no sum enters the bound.
     """
     if iterations >= 2**49:
         return math.inf
@@ -240,13 +241,9 @@ def _candidate_entries(cost, level: float):
     lazy cost evaluates on demand), counts the block's entries below the
     level before it builds their indices, and stops with None once they
     are more than :data:`CANDIDATE_SHARE_MAX` of the entries.  It holds
-    one block at a time besides the entries found.  None also when
-    ``n == 1``: numpy sums the single column of an m x 1 matrix pairwise,
-    not row after row, so ``bincount`` would not reproduce it.
+    one block at a time besides the entries found.
     """
     m, n = cost.shape
-    if n == 1:
-        return None
     limit = CANDIDATE_SHARE_MAX * m * n
     index, values, count = [], [], 0
     for start in range(0, m, _BLOCK_ROWS):
@@ -270,26 +267,28 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     dual back to the primal plan.  Deterministic for fixed inputs.
 
     The clamp is implicit (see the module docstring): the conjugate is
-    evaluated on the active entries only, and line sums keep numpy's
-    order, so the plan is bit-identical to clamping a copy of the dual
-    and evaluating the conjugate on all of it.
+    evaluated on the active entries only, and each line sum adds the
+    line's entries one after another in row-major order, so the plan is
+    bit-identical to clamping a copy of the dual, evaluating the
+    conjugate on all of it and summing each line sequentially.
 
     Entries whose cost is at or above :func:`_certified_cost` stay
     clamped for all T iterations, so they carry exactly zero mass and
     take no part in any step.  When the other entries, the candidates,
-    are at most :data:`CANDIDATE_SHARE_MAX` (a fifth) of the dual and
-    ``n > 1`` (see :func:`_candidate_entries`, one row-block walk for
-    every kind of cost), the loop runs on compressed arrays over the
-    candidates alone; otherwise it runs on the dense dual.  The two loops give
+    are at most :data:`CANDIDATE_SHARE_MAX` (a fifth) of the dual (see
+    :func:`_candidate_entries`, one row-block walk for every kind of
+    cost), the loop runs on compressed arrays over the candidates alone;
+    otherwise it runs on the dense dual.  The two loops give
     bit-identical plans.  The crossover depends on how many candidates
     become active, which the input does not tell in advance.  Measured
-    on a 2-core Xeon (T=10, candidate loop over dense loop): on the
-    950x1000 detection cost rescaled, where about 0.3% of the entries
-    end active, 0.31 at 7.7% candidates, 0.57 at 25%, 0.91 at 50%, 1.00
-    at 60% and 1.34 at 85%; on 800x800 costs whose candidates all end
-    active, 0.54 at 10%, 0.90 at 20%, 1.11 at 25% and 1.22 at 50%.  At
-    a fifth neither case is slower.  The candidate loop returns a sparse
-    plan (see :class:`TransportPlan`).
+    on a 2-core Xeon (T=10, candidate loop over dense loop, medians of
+    15 interleaved runs): on the 950x1000 detection cost rescaled, where
+    about 0.2% of the entries end active, 0.18 at 8.7% candidates, 0.44
+    at 25%, 0.86 at 50%, 1.02 at 60% and 1.53 at 85%; on 800x800 costs
+    whose candidates all end active, 0.50 at 10%, 0.76 at 20%, 0.80 at
+    25%, 0.99 at 35% and 1.20 at 50%.  At a fifth neither case is
+    slower.  The candidate loop returns a sparse plan (see
+    :class:`TransportPlan`).
 
     ``cost`` may also be a ``costs.SqEuclideanCost``, which is never
     formed whole on the candidate loop: the walk evaluates its rows in
@@ -335,38 +334,28 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
 def _dense_plan(gamma, pot, lam, iterations):
     """The robust loop on the whole dual, the conjugate on its active entries.
 
-    Column sums with ``n > 1`` come from ``bincount``, as in :func:`_candidate_plan`;
-    pairwise sums (rows, an m x 1 column) reduce buffers zero off the active entries.
+    Line sums come from ``bincount`` over the active entries in row-major
+    order, as in :func:`_candidate_plan`.
     """
     m, n = gamma.shape
     bound = pot.clamp_bound
-    # A fresh C-ordered dual, so the flat views below are views even for
+    # A fresh C-ordered dual, so the flat view below is a view even for
     # an F-ordered cost such as gamma.T.
     theta = np.negative(gamma, order="C")
     theta /= lam
-    ps, pss = np.zeros((m, n)), np.zeros((m, n))
-    theta_flat, ps_flat, pss_flat = theta.reshape(-1), ps.reshape(-1), pss.reshape(-1)
     caps = {size: phi_prime(1.0 / size, pot) for size in (m, n)}
     for _ in range(iterations):
         for axis, size in ((1, m), (0, n)):
             active = np.flatnonzero(theta > bound)
-            ps_active, pss_active = _psi_pair_inplace(theta_flat[active], pot)
-            if axis == 1 or n == 1:
-                ps_flat[active], pss_flat[active] = ps_active, pss_active
-                ps_sum, pss_sum = ps.sum(axis=axis), pss.sum(axis=axis)
-                ps_flat[active] = pss_flat[active] = 0.0
-            else:
-                # Each entry's column; numpy divides by a scalar faster than % n.
-                active -= active // n * n
-                ps_sum = np.bincount(active, weights=ps_active, minlength=n)
-                pss_sum = np.bincount(active, weights=pss_active, minlength=n)
-            del active, ps_active, pss_active  # before the next half-step allocates
+            ps, pss = _psi_pair_inplace(theta.reshape(-1)[active], pot)
+            # Each entry's row or column; numpy divides by a scalar faster than % n.
+            lines = active // n if axis == 1 else active - active // n * n
+            ps_sum = np.bincount(lines, weights=ps, minlength=size)
+            pss_sum = np.bincount(lines, weights=pss, minlength=size)
+            del active, lines, ps, pss  # before the next half-step allocates
             theta_hat = np.maximum(theta.max(axis=axis), bound)
             step = truncated_step(theta_hat, ps_sum, pss_sum, caps[size], size)
             theta -= np.expand_dims(step, axis)
-
-    # Free the buffers before the plan is allocated, to keep the peak low.
-    del ps, pss, ps_flat, pss_flat
     return psi_prime(np.maximum(theta, bound, out=theta), pot)
 
 
@@ -375,11 +364,10 @@ def _candidate_plan(shape, index, costs, pot, lam, iterations):
 
     ``costs`` holds their costs.  Every other entry stays clamped (see
     :func:`_certified_cost`).  The line maxima and sums equal the dense
-    loop's bit for bit: a maximum does not depend on order; numpy sums
-    axis 0 of a C-ordered matrix with ``n > 1`` one row after another, as
-    ``bincount`` does over row-major entries; and :func:`_row_sums`
-    follows numpy's pairwise summation of each row.  Returns the
-    :class:`PlanEntries` of the plan and the costs at its entries.
+    loop's bit for bit: a maximum does not depend on order, and both
+    loops sum with ``bincount`` over the active entries in row-major
+    order.  Returns the :class:`PlanEntries` of the plan and the costs
+    at its entries.
     """
     m, n = shape
     bound = pot.clamp_bound
@@ -394,11 +382,8 @@ def _candidate_plan(shape, index, costs, pot, lam, iterations):
             theta_hat = np.full(size, bound)
             np.maximum.at(theta_hat, on, values)
             ps, pss = _psi_pair_inplace(values, pot)
-            if lines is rows:
-                ps_sum, pss_sum = _row_sums(index[active], on, n, m, ps, pss)
-            else:
-                ps_sum = np.bincount(on, weights=ps, minlength=n)
-                pss_sum = np.bincount(on, weights=pss, minlength=n)
+            ps_sum = np.bincount(on, weights=ps, minlength=size)
+            pss_sum = np.bincount(on, weights=pss, minlength=size)
             theta -= truncated_step(theta_hat, ps_sum, pss_sum, caps[size], size)[lines]
 
     active = np.flatnonzero(theta > bound)
@@ -406,36 +391,18 @@ def _candidate_plan(shape, index, costs, pot, lam, iterations):
     return plan, costs[active]
 
 
-def _row_sums(index, rows, length, count, *weights):
-    """:func:`_sparse_row_sums` of the entries at ``index`` in ``rows``.
-
-    A row with at most two entries is summed by ``bincount``, exactly as
-    numpy sums it: adding 0.0 changes no entry, and two entries round
-    once in either order.  Only the entries of rows with three or more
-    go through :func:`_sparse_row_sums`.
-    """
-    sums = [np.bincount(rows, weights=w, minlength=count) for w in weights]
-    crowded = np.bincount(rows, minlength=count)[rows] > 2
-    if crowded.any():
-        crowded_rows = rows[crowded]
-        exact = _sparse_row_sums(index[crowded], length, count, *(w[crowded] for w in weights))
-        for total, row_total in zip(sums, exact):
-            total[crowded_rows] = row_total[crowded_rows]
-    return sums
-
-
 # numpy sums runs of at most this many entries with 8 accumulators and
 # splits longer runs in two.
 _PAIRWISE_BLOCK = 128
 
 
-def _sparse_row_sums(index, length, count, *weights):
-    """Row sums of C-ordered ``count x length`` matrices from their nonzeros.
+def _sparse_row_sums(index, length, count, values):
+    """Row sums of a C-ordered ``count x length`` matrix from its nonzeros.
 
-    Each array in ``weights`` holds a matrix's entries at the sorted
-    row-major flat ``index``; its other entries are zero.  Returns, per
-    array, its ``sum(axis=1)`` bit for bit, so ``length=m*n, count=1``
-    gives the ``np.sum`` of a whole C-ordered matrix.
+    ``values`` holds the matrix's entries at the sorted row-major flat
+    ``index``; its other entries are zero.  Returns its ``sum(axis=1)``
+    bit for bit, so ``length=m*n, count=1`` gives the ``np.sum`` of a
+    whole C-ordered matrix.
 
     numpy adds to 0.0 the pairwise sum of each row: a run of more than
     128 entries splits at ``h - h % 8`` (``h`` half its length) and adds
@@ -466,21 +433,18 @@ def _sparse_row_sums(index, length, count, *weights):
     head = _node_heads(line, path)
     slot += 15 * (np.cumsum(head) - 1)
     line, path = line[head], path[head]
-    sums = []
-    for w in weights:
-        r = np.bincount(slot, weights=w, minlength=15 * line.size).reshape(-1, 15).T
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for tail in r[8:]:
-            total += tail
-        sums.append(total)
+    r = np.bincount(slot, weights=values, minlength=15 * line.size).reshape(-1, 15).T
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for tail in r[8:]:
+        total += tail
     # Merge sibling nodes bottom-up, the left one first, into their parent.
     for depth in range(int(path.max(initial=1)).bit_length() - 1, 0, -1):
         path = path >> (path >= 1 << depth)
         head = _node_heads(line, path)
         group = np.cumsum(head) - 1
-        sums = [np.bincount(group, weights=total) for total in sums]
+        total = np.bincount(group, weights=total)
         line, path = line[head], path[head]
-    return [np.bincount(line, weights=total, minlength=count) for total in sums]
+    return np.bincount(line, weights=total, minlength=count)
 
 
 def _node_heads(line, path):
@@ -668,7 +632,7 @@ def transport_value(plan, cost) -> float:
 def _entries_value(entries: PlanEntries, costs) -> float:
     """:func:`transport_value` of a sparse plan from the costs at its entries."""
     m, n = entries.shape
-    return float(_sparse_row_sums(entries.index, m * n, 1, entries.values * costs)[0][0])
+    return float(_sparse_row_sums(entries.index, m * n, 1, entries.values * costs)[0])
 
 
 def marginal_residuals(plan, m: int, n: int) -> tuple[float, float]:
@@ -676,9 +640,11 @@ def marginal_residuals(plan, m: int, n: int) -> tuple[float, float]:
     pi = _plan_data(plan)
     if isinstance(pi, PlanEntries):
         height, width = pi.shape
-        (row_sums,) = _sparse_row_sums(pi.index, width, height, pi.values)
-        # Row after row, as numpy sums axis 0 of a C-ordered plan with n > 1.
-        col_sums = np.bincount(pi.index % width, weights=pi.values, minlength=width)
+        row_sums = _sparse_row_sums(pi.index, width, height, pi.values)
+        if width > 1:  # numpy sums axis 0 of a C-ordered plan row after row,
+            col_sums = np.bincount(pi.index % width, weights=pi.values, minlength=width)
+        else:  # but a single column as one contiguous run, pairwise.
+            col_sums = _sparse_row_sums(pi.index, height, 1, pi.values)
     else:
         row_sums, col_sums = pi.sum(axis=1), pi.sum(axis=0)
     row = float(np.abs(row_sums - 1.0 / m).sum())

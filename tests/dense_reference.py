@@ -6,7 +6,8 @@ clamped problems iterates only the entries that can become active.
 These helpers evaluate the same arithmetic the plain way, a power on
 every entry of the full matrix, a clamped copy of the dual and a fresh
 array per step, so tests can require bit-identical results from the
-package.  The
+package.  The robust loop's line sums add a line's entries one after
+another, as the package's do (:func:`sequential_sums`).  The
 Sinkhorn reference forms the plan every iteration to test convergence,
 where the package tests the marginals of the scaling vectors.
 """
@@ -50,38 +51,47 @@ def dense_psi_pair(t, pot):
     return ps, pss
 
 
-def _dense_decrement(theta_star, pot, axis, size):
-    """Truncated single Newton step along ``axis`` (1: rows, 0: columns)."""
+def sequential_sums(x, axis):
+    """Sums along ``axis`` that add the entries one after another."""
+    return np.take(np.cumsum(x, axis=axis), -1, axis=axis)
+
+
+def _dense_decrement(theta_star, pot, axis, size, sums=sequential_sums):
+    """Truncated single Newton step along ``axis`` (1: rows, 0: columns).
+
+    ``sums(x, axis)`` forms the line sums; ``np.sum`` gives numpy's
+    pairwise order instead of the package's sequential one.
+    """
     ps, pss = dense_psi_pair(theta_star, pot)
-    num = ps.sum(axis=axis) - 1.0 / size
-    den = pss.sum(axis=axis)
+    num = sums(ps, axis=axis) - 1.0 / size
+    den = sums(pss, axis=axis)
     safe = den >= EPS_DENOMINATOR
     lower = theta_star.max(axis=axis) - phi_prime(1.0 / size, pot)
     step = np.where(safe, np.divide(num, den, out=np.zeros_like(num), where=safe), lower)
     return np.maximum(step, lower)
 
 
-def dense_robust_duals(gamma, beta, lam, iterations):
+def dense_robust_duals(gamma, beta, lam, iterations, sums=sequential_sums):
     """Yield the clamped dual at the start and after each of the 2T half-steps."""
     pot = beta_potential(beta)
     m, n = gamma.shape
-    # C order, as in the package: the row sums of an F-ordered dual
-    # reduce in another order.
+    # C order, so that ``sums=np.sum`` reduces a row as numpy sums a
+    # C-ordered matrix.
     theta_tilde = np.ascontiguousarray(-gamma / lam)
     theta_star = clamp_dual(theta_tilde, pot)
     yield theta_star
     for _ in range(iterations):
-        theta_tilde = apply_row(theta_tilde, _dense_decrement(theta_star, pot, 1, m))
+        theta_tilde = apply_row(theta_tilde, _dense_decrement(theta_star, pot, 1, m, sums))
         theta_star = clamp_dual(theta_tilde, pot)
         yield theta_star
-        theta_tilde = apply_col(theta_tilde, _dense_decrement(theta_star, pot, 0, n))
+        theta_tilde = apply_col(theta_tilde, _dense_decrement(theta_star, pot, 0, n, sums))
         theta_star = clamp_dual(theta_tilde, pot)
         yield theta_star
 
 
-def dense_robust_solve(gamma, beta, lam, iterations):
+def dense_robust_solve(gamma, beta, lam, iterations, sums=sequential_sums):
     """Plan and value of ``iterations`` full robust iterations on ``gamma``."""
-    for theta_star in dense_robust_duals(gamma, beta, lam, iterations):
+    for theta_star in dense_robust_duals(gamma, beta, lam, iterations, sums):
         pass
     pi = dense_psi_prime(theta_star, beta_potential(beta))
     return pi, float(np.sum(pi * gamma))

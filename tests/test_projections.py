@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from dense_reference import _dense_decrement, dense_psi_pair
+from dense_reference import _dense_decrement, dense_psi_pair, sequential_sums
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -227,9 +227,10 @@ class TestDecrementMatchesDenseStep:
         step = truncate(decrement(theta_star, pot, size), theta_star, pot, size)
         assert np.array_equal(step, expected)
         # The robust solver's reductions: the unclamped dual's line maxima
-        # floored at the bound, and dense psi'/psi'' sums.
+        # floored at the bound, and sequential psi'/psi'' sums.
         ps, pss = dense_psi_pair(theta_star, pot)
         theta_hat = np.maximum(theta.max(axis=axis), pot.clamp_bound)
         cap = phi_prime(1.0 / size, pot)
-        step = truncated_step(theta_hat, ps.sum(axis=axis), pss.sum(axis=axis), cap, size)
+        sums = sequential_sums(ps, axis), sequential_sums(pss, axis)
+        step = truncated_step(theta_hat, *sums, cap, size)
         assert np.array_equal(step, expected)

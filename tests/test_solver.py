@@ -38,7 +38,7 @@ from betaot.solver import (
     CANDIDATE_SHARE_MAX,
     _candidate_entries,
     _certified_cost,
-    _row_sums,
+    _dense_plan,
     _sparse_row_sums,
 )
 
@@ -385,11 +385,9 @@ def dense_loop_instances(draw):
     """Random (beta, lam, T, cost) on which ``robust_solve`` runs the dense loop.
 
     More than a fifth of the entries cost less than the certified level,
-    so the candidate loop does not run.  ``n`` is 1 (summed pairwise by
-    numpy), small or up to 60, and ``m`` up to 300, past numpy's pairwise
-    block of 128 in the ``n == 1`` column.  Costs run from entries active
-    at the start to entries beyond the level, and are F-ordered half the
-    time.
+    so the candidate loop does not run.  ``n`` is 1, small or up to 60,
+    and ``m`` up to 300.  Costs run from entries active at the start to
+    entries beyond the level, and are F-ordered half the time.
     """
     beta = draw(st.sampled_from([1.2, 1.5, 2.0, 2.7]))
     lam = draw(st.sampled_from([0.5, 2.0, 7.0]))
@@ -408,7 +406,7 @@ def dense_loop_instances(draw):
 
 
 class TestDenseLoop:
-    """The dense loop's column sums come from ``bincount`` when ``n > 1``."""
+    """The dense loop's line sums come from ``bincount`` over the active entries."""
 
     @settings(max_examples=120, deadline=None)
     @given(dense_loop_instances())
@@ -441,8 +439,9 @@ class TestCertifiedCost:
         assert _certified_cost(pot, 2.0, 950, 1000, 10**20) == math.inf
 
     def test_candidate_loop_matches_dense_reference(self):
-        # 83% far entries, and rows longer than numpy's pairwise block
-        # of 128 with many active entries, which are summed densely.
+        # 83% far entries, and rows of 300 with many active entries: on
+        # this instance numpy's pairwise row sums give another plan, so
+        # either loop summing a line pairwise fails here.
         rng = np.random.default_rng(5)
         gamma = rng.uniform(0.0, 20.0, size=(60, 300))
         gamma[:, 50:] += 1e4
@@ -450,19 +449,32 @@ class TestCertifiedCost:
         assert _candidates(gamma, level) is not None
         pi, value = dense_robust_solve(gamma, 1.2, 2.0, 12)
         plan = robust_solve(gamma, SolverConfig(beta=1.2, lam=2.0, iterations=12))
+        assert plan.entries is not None
         assert np.array_equal(plan.pi, pi)
         assert plan.value == value
+        assert np.array_equal(_dense_plan(gamma, beta_potential(1.2), 2.0, 12), pi)
         assert np.count_nonzero(pi, axis=1).max() >= 10
+        pairwise, _ = dense_robust_solve(gamma, 1.2, 2.0, 12, sums=np.sum)
+        assert not np.array_equal(pairwise, pi)
 
     def test_single_column_matches_dense_reference(self):
-        # numpy sums an m x 1 column pairwise, so it takes the dense loop.
-        rng = np.random.default_rng(3)
-        gamma = np.full((120, 1), 1e6)
-        gamma[:24, 0] = rng.uniform(0.0, 0.1, size=24)
-        pi, value = dense_robust_solve(gamma, 1.2, 1.0, 6)
-        plan = robust_solve(gamma, SolverConfig(beta=1.2, lam=1.0, iterations=6))
-        assert np.array_equal(plan.pi, pi)
-        assert plan.value == value
+        # m x 1 costs, a fifth of each near: both loops, one sum order.
+        pot = beta_potential(1.2)
+        for m in (120, 300, 1000):
+            rng = np.random.default_rng(3)
+            gamma = np.full((m, 1), 1e6)
+            near = rng.choice(m, m // 5, replace=False)
+            gamma[near, 0] = rng.uniform(0.0, 0.1, size=near.size)
+            pi, value = dense_robust_solve(gamma, 1.2, 1.0, 6)
+            plan = robust_solve(gamma, SolverConfig(beta=1.2, lam=1.0, iterations=6))
+            assert plan.entries is not None
+            assert np.array_equal(plan.pi, pi)
+            assert plan.value == value
+            residuals = marginal_residuals(pi, m, 1)
+            assert _bits(plan.row_residual_l1, plan.col_residual_l1) == _bits(*residuals)
+            assert np.array_equal(_dense_plan(gamma, pot, 1.0, 6), pi)
+            pairwise, _ = dense_robust_solve(gamma, 1.2, 1.0, 6, sums=np.sum)
+            assert not np.array_equal(pairwise, pi)
 
     def test_candidate_loop_allocates_no_dense_matrix(self):
         # 2% candidates: the plan stays sparse, the loop's arrays are
@@ -554,7 +566,7 @@ class TestLazyCost:
 
     def test_candidate_path_allocates_no_cost_matrix(self):
         # Six near targets: the candidates are 0.5% of the entries.  The
-        # loop holds about 150 bytes per candidate at its peak and one
+        # loop holds about 65 bytes per candidate at its peak and one
         # 64-row block of costs; the dense cost, rescaled, would hold two
         # m x n float matrices (16*m*n bytes).
         rng = np.random.default_rng(14)
@@ -593,7 +605,7 @@ class TestCandidateWalk:
         m, n = gamma.shape
         level = float(np.quantile(gamma, quantile))
         below = np.flatnonzero(gamma < level)
-        few = n > 1 and below.size <= CANDIDATE_SHARE_MAX * gamma.size
+        few = below.size <= CANDIDATE_SHARE_MAX * gamma.size
         event("candidates" if few else "None")
         event("several blocks" if m > _BLOCK_ROWS else "one block")
         dense = np.asfortranarray(gamma) if fortran else gamma
@@ -677,13 +689,11 @@ class TestSparseRowSums:
         count, length = dense.shape
         index = np.flatnonzero(dense)
         values = dense.reshape(-1)[index]
-        rows, negated = _sparse_row_sums(index, length, count, values, -values)
+        rows = _sparse_row_sums(index, length, count, values)
+        negated = _sparse_row_sums(index, length, count, -values)
         assert _bits(*rows) == _bits(*np.add.reduce(dense, axis=1))
         assert _bits(*negated) == _bits(*np.add.reduce(-dense, axis=1))
-        # The candidate loop's split: bincount for rows of at most two entries.
-        (split,) = _row_sums(index, index // length, length, count, values)
-        assert _bits(*split) == _bits(*rows)
-        (whole,) = _sparse_row_sums(index, dense.size, 1, values)
+        whole = _sparse_row_sums(index, dense.size, 1, values)
         assert _bits(*whole) == _bits(np.add.reduce(dense, axis=None))
 
 
