@@ -28,11 +28,12 @@ All solvers return a :class:`TransportPlan` carrying the plan, its cost
 value, L1 marginal residuals, and the iteration count.  A sparse plan
 keeps its entries and builds the dense ``pi`` only when it is read;
 :func:`transport_value`, :func:`marginal_residuals` and
-``detect.detect_outliers`` work from the entries, and give the same
-floats as from the dense plan: these diagnostics follow numpy's
-pairwise summation (:func:`_sparse_row_sums`).  Solves mutate
-only the dual buffers they allocate, never their inputs; concurrent
-solves share nothing.
+``detect.detect_outliers`` work from the entries.  Every reported
+diagnostic adds each row's and each column's entries one after another
+in row-major order (a value is the numpy sum of the row sums of plan x
+cost), so exact zeros change nothing and a dense plan and its entries
+give the same floats.  Solves mutate only the dual buffers they
+allocate, never their inputs; concurrent solves share nothing.
 """
 
 import math
@@ -391,70 +392,6 @@ def _candidate_plan(shape, index, costs, pot, lam, iterations):
     return plan, costs[active]
 
 
-# numpy sums runs of at most this many entries with 8 accumulators and
-# splits longer runs in two.
-_PAIRWISE_BLOCK = 128
-
-
-def _sparse_row_sums(index, length, count, values):
-    """Row sums of a C-ordered ``count x length`` matrix from its nonzeros.
-
-    ``values`` holds the matrix's entries at the sorted row-major flat
-    ``index``; its other entries are zero.  Returns its ``sum(axis=1)``
-    bit for bit, so ``length=m*n, count=1`` gives the ``np.sum`` of a
-    whole C-ordered matrix.
-
-    numpy adds to 0.0 the pairwise sum of each row: a run of more than
-    128 entries splits at ``h - h % 8`` (``h`` half its length) and adds
-    the sums of its halves; a shorter run adds its entries to 8 strided
-    accumulators, combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
-    and then adds its last ``size % 8`` entries in order, so a run
-    shorter than 8 adds them all in order.  ``x + 0.0 == x`` for nonzero
-    ``x`` and a zero result is +0.0 either way, so skipping the zeros
-    changes no sum.  The split tree is walked level by level over the
-    nonzeros only; a node is named by its path from the root behind a
-    leading 1 bit.
-    """
-    line, offset = np.divmod(index, length)
-    size = np.full_like(offset, length)
-    path = np.ones_like(offset)
-    while True:
-        split = size > _PAIRWISE_BLOCK
-        if not split.any():
-            break
-        cut = np.where(split, (size >> 4) << 3, size)  # h - h % 8, h = size // 2
-        right = offset >= cut
-        np.subtract(offset, cut, out=offset, where=right)
-        size = np.where(right, size - cut, cut)
-        path = (path << split) | right
-    # Slots 0-7 of a run are its accumulators, 8-14 its tail in order.
-    main = size - size % 8
-    slot = np.where(offset < main, offset % 8, 8 + offset - main)
-    head = _node_heads(line, path)
-    slot += 15 * (np.cumsum(head) - 1)
-    line, path = line[head], path[head]
-    r = np.bincount(slot, weights=values, minlength=15 * line.size).reshape(-1, 15).T
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for tail in r[8:]:
-        total += tail
-    # Merge sibling nodes bottom-up, the left one first, into their parent.
-    for depth in range(int(path.max(initial=1)).bit_length() - 1, 0, -1):
-        path = path >> (path >= 1 << depth)
-        head = _node_heads(line, path)
-        group = np.cumsum(head) - 1
-        total = np.bincount(group, weights=total)
-        line, path = line[head], path[head]
-    return np.bincount(line, weights=total, minlength=count)
-
-
-def _node_heads(line, path):
-    """Marks the first entry of each run of equal ``(line, path)``."""
-    head = np.ones(line.size, dtype=bool)
-    np.not_equal(line[1:], line[:-1], out=head[1:])
-    head[1:] |= path[1:] != path[:-1]
-    return head
-
-
 def sinkhorn_solve(
     cost,
     lam: float,
@@ -527,9 +464,7 @@ def _sinkhorn_log(gamma: np.ndarray, lam: float, tol: float, max_iter: int):
     for iterations in range(1, max_iter + 1):
         f = lam * (log_r - logsumexp((g[None, :] - gamma) / lam, axis=1))
         g = lam * (log_c - logsumexp((f[:, None] - gamma) / lam, axis=0))
-        pi = np.exp((f[:, None] + g[None, :] - gamma) / lam)
-        row_res, col_res = marginal_residuals(pi, m, n)
-        if row_res + col_res <= tol:
+        if _stop_residual(np.exp((f[:, None] + g[None, :] - gamma) / lam), m, n) <= tol:
             converged = True
             break
     pi = np.exp((f[:, None] + g[None, :] - gamma) / lam)
@@ -547,6 +482,10 @@ def _inner_newton(theta_star, pot, axis, size):
         ps, pss = psi_pair(theta_star - np.expand_dims(mult, axis), pot)
         step = newton_quotient(ps, pss, axis, size, np.zeros_like(mult))
         mult += step
+        if not np.all(np.isfinite(mult)):
+            raise NumericalUnderflowError(
+                "a projection multiplier overflowed; increase lam or rescale the cost"
+            )
         if np.max(np.abs(step)) <= NASA_INNER_TOL:
             break
     return mult
@@ -569,7 +508,8 @@ def nasa_solve(
 
     Rejects the beta potential: its conjugate domain is bounded below, so
     multi-step Newton updates can leave it (the reason the truncated
-    single-step loop exists).
+    single-step loop exists).  Raises :class:`NumericalUnderflowError`
+    when a multiplier overflows, as Shannon's can on costs far above ``lam``.
     """
     if not pot.is_cofinite:
         raise UnsupportedGeneratorError(
@@ -590,12 +530,17 @@ def nasa_solve(
             theta_tilde = theta_tilde - np.expand_dims(mult, axis)
             theta_star = clamp_dual(theta_tilde, pot)
 
-        row_res, col_res = marginal_residuals(psi_prime(theta_star, pot), m, n)
-        if row_res + col_res <= tol:
+        if _stop_residual(psi_prime(theta_star, pot), m, n) <= tol:
             converged = True
             break
     pi = psi_prime(theta_star, pot)
     return _plan_result(pi, transport_value(pi, gamma), iterations, converged)
+
+
+def _stop_residual(pi, m, n) -> float:
+    """The summed marginal residual under numpy's sums: a stopping test, never reported."""
+    rows, cols = np.abs(pi.sum(axis=1) - 1.0 / m), np.abs(pi.sum(axis=0) - 1.0 / n)
+    return float(rows.sum()) + float(cols.sum())
 
 
 def _plan_result(pi, value, iterations, converged=None) -> TransportPlan:
@@ -614,9 +559,8 @@ def _plan_data(plan):
 def transport_value(plan, cost) -> float:
     """Frobenius inner product of a plan with the cost matrix.
 
-    Summation is row-major over the dense product, so repeated evaluation
-    on identical inputs is bit-identical.  A sparse plan gives the same
-    float from its nonzeros alone (see :func:`_sparse_row_sums`).
+    The numpy sum of the row sums of plan x cost, each added entry after
+    entry (see :func:`marginal_residuals`), with no m x n temporary.
     """
     pi = _plan_data(plan)
     gamma = np.asarray(cost, dtype=float)
@@ -626,27 +570,50 @@ def transport_value(plan, cost) -> float:
         )
     if isinstance(pi, PlanEntries):
         return _entries_value(pi, gamma[np.divmod(pi.index, pi.shape[1])])
-    return float(np.sum(pi * gamma))
+    return float(np.sum(_line_sums(pi, gamma)))
 
 
 def _entries_value(entries: PlanEntries, costs) -> float:
     """:func:`transport_value` of a sparse plan from the costs at its entries."""
     m, n = entries.shape
-    return float(_sparse_row_sums(entries.index, m * n, 1, entries.values * costs)[0])
+    return float(np.sum(np.bincount(entries.index // n, weights=entries.values * costs,
+                                    minlength=m)))
 
 
 def marginal_residuals(plan, m: int, n: int) -> tuple[float, float]:
-    """L1 distances of the plan's row/column sums from 1/m and 1/n."""
+    """L1 distances of the plan's row/column sums from 1/m and 1/n.
+
+    Each row and each column adds its entries one after another in
+    row-major order: ``bincount`` over a sparse plan's nonzeros, a
+    ``cumsum`` over a few rows of a dense plan (or of its transpose) at
+    a time.  The two forms give the same residuals, whatever the shape
+    or memory order, and the rule depends on no numpy release.
+    """
     pi = _plan_data(plan)
     if isinstance(pi, PlanEntries):
-        height, width = pi.shape
-        row_sums = _sparse_row_sums(pi.index, width, height, pi.values)
-        if width > 1:  # numpy sums axis 0 of a C-ordered plan row after row,
-            col_sums = np.bincount(pi.index % width, weights=pi.values, minlength=width)
-        else:  # but a single column as one contiguous run, pairwise.
-            col_sums = _sparse_row_sums(pi.index, height, 1, pi.values)
+        rows, cols = np.divmod(pi.index, pi.shape[1])
+        row_sums = np.bincount(rows, weights=pi.values, minlength=pi.shape[0])
+        col_sums = np.bincount(cols, weights=pi.values, minlength=pi.shape[1])
     else:
-        row_sums, col_sums = pi.sum(axis=1), pi.sum(axis=0)
+        row_sums, col_sums = _line_sums(pi), _line_sums(pi.T)
     row = float(np.abs(row_sums - 1.0 / m).sum())
     col = float(np.abs(col_sums - 1.0 / n).sum())
     return row, col
+
+
+# Entries a dense diagnostic takes at once: its one buffer holds 2**16 floats.
+_SUM_BLOCK = 1 << 16
+
+
+def _line_sums(a, weights=None):
+    """The rows of ``a`` (times ``weights``), each summed entry after entry."""
+    m, n = a.shape
+    rows = max(1, _SUM_BLOCK // n)
+    sums, buf = np.empty(m), np.empty((min(rows, m), n))
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        block, out = a[start:stop], buf[:stop - start]
+        if weights is not None:
+            block = np.multiply(block, weights[start:stop], out=out)
+        sums[start:stop] = np.cumsum(block, axis=1, out=out)[:, -1]
+    return sums

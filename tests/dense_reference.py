@@ -14,9 +14,9 @@ where the package tests the marginals of the scaling vectors.
 
 import numpy as np
 
-from betaot import beta_potential, marginal_residuals, phi_prime
+from betaot import beta_potential, phi_prime
 from betaot.projections import EPS_DENOMINATOR, apply_col, apply_row, clamp_dual
-from betaot.solver import _check_lambda, _validate_cost
+from betaot.solver import _check_lambda, _stop_residual, _validate_cost
 
 
 def init_dual(cost, lam: float) -> np.ndarray:
@@ -90,11 +90,15 @@ def dense_robust_duals(gamma, beta, lam, iterations, sums=sequential_sums):
 
 
 def dense_robust_solve(gamma, beta, lam, iterations, sums=sequential_sums):
-    """Plan and value of ``iterations`` full robust iterations on ``gamma``."""
+    """Plan and value of ``iterations`` full robust iterations on ``gamma``.
+
+    The value sums each row of plan x cost sequentially, then the row
+    sums with numpy, as the package's diagnostics do.
+    """
     for theta_star in dense_robust_duals(gamma, beta, lam, iterations, sums):
         pass
     pi = dense_psi_prime(theta_star, beta_potential(beta))
-    return pi, float(np.sum(pi * gamma))
+    return pi, float(np.sum(sequential_sums(pi * gamma, axis=1)))
 
 
 def dense_sinkhorn(gamma, lam, tol, max_iter):
@@ -111,8 +115,7 @@ def dense_sinkhorn(gamma, lam, tol, max_iter):
         u = r / (kernel @ v)
         v = c / (kernel.T @ u)
         pi = u[:, None] * kernel * v[None, :]
-        row_res, col_res = marginal_residuals(pi, m, n)
-        if row_res + col_res <= tol:
+        if _stop_residual(pi, m, n) <= tol:
             converged = True
             break
     pi = u[:, None] * kernel * v[None, :]

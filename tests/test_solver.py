@@ -38,8 +38,8 @@ from betaot.solver import (
     CANDIDATE_SHARE_MAX,
     _candidate_entries,
     _certified_cost,
+    PlanEntries,
     _dense_plan,
-    _sparse_row_sums,
 )
 
 
@@ -262,6 +262,15 @@ class TestNasaSolve:
             a = nasa_solve(gamma, lam, shannon())
             b = sinkhorn_solve(gamma, lam)
             assert abs(a.value - b.value) <= 1e-6
+
+    def test_overflowing_multiplier_raises(self):
+        # Far from the root each inner Shannon step moves a multiplier by
+        # about 1: the second outer iteration leaves every row multiplier
+        # at the inner cap, and the third overflows.
+        gamma = np.random.default_rng(0).uniform(0.0, 16.0, size=(6, 34))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalUnderflowError):
+            nasa_solve(gamma, 1.0, shannon())
+        assert sinkhorn_solve(gamma, 1.0).converged
 
     def test_quadratic_generator_reaches_feasibility(self):
         rng = np.random.default_rng(72)
@@ -658,43 +667,66 @@ class TestPlanProperties:
         )
 
 
+def _sequential_sums(x):
+    """The rows of ``x``, each summed entry after entry from +0.0, by ``cumsum``."""
+    return np.cumsum(np.hstack([np.zeros((x.shape[0], 1)), x]), axis=1)[:, -1]
+
+
 @st.composite
-def sparse_rows(draw):
-    """A C-ordered matrix with rows in each regime of numpy's pairwise sum.
+def diagnostic_instances(draw):
+    """A plan and a cost for the summation rule of the diagnostics.
 
-    Rows shorter than 8 are summed in order, rows of 8 to 128 in 8 strided
-    accumulators, longer rows split in two; from no nonzero entry to all,
-    with magnitudes from 1e-8 to 1e8 and both signs.
+    m x 1, 1 x n and larger shapes, C- or F-ordered; all-zero rows;
+    exact zeros of both signs in the plan and the cost; plan magnitudes
+    over 16 decades and costs of both signs.
     """
-    length = draw(st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 40_000)))
-    count = draw(st.integers(1, max(1, min(12, 60_000 // length))))
-    density = draw(st.sampled_from([0.0, 0.001, 0.01, 0.1, 0.5, 1.0]))
+    m = draw(st.one_of(st.just(1), st.integers(2, 9), st.integers(10, 80)))
+    n = draw(st.one_of(st.just(1), st.integers(2, 9), st.integers(10, 300)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mask = rng.random((count, length)) < density
-    k = int(mask.sum())
-    values = 10.0 ** rng.uniform(-8.0, 8.0, size=k)
+    pi = 10.0 ** rng.uniform(-8.0, 8.0, size=(m, n))
+    pi[rng.random((m, n)) < draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))] = 0.0
+    pi[rng.random(m) < draw(st.floats(0.0, 0.5))] = 0.0
+    pi[(pi == 0.0) & (rng.random((m, n)) < 0.5)] = -0.0
+    gamma = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(m, n))
+    gamma[rng.random((m, n)) < 0.1] = draw(st.sampled_from([0.0, -0.0]))
     if draw(st.booleans()):
-        values *= rng.choice([-1.0, 1.0], size=k)
-    dense = np.zeros((count, length))
-    dense[mask] = values
-    return dense
+        pi = np.asfortranarray(pi)
+    if draw(st.booleans()):
+        gamma = np.asfortranarray(gamma)
+    return pi, gamma
 
 
-class TestSparseRowSums:
-    """Pins numpy's reduction order: ``_sparse_row_sums`` reproduces it."""
+class TestSummationRule:
+    """Every reported sum adds a line's entries one after another in row-major order."""
 
     @settings(max_examples=200, deadline=None)
-    @given(sparse_rows())
-    def test_equals_numpy_sums_bit_for_bit(self, dense):
-        count, length = dense.shape
-        index = np.flatnonzero(dense)
-        values = dense.reshape(-1)[index]
-        rows = _sparse_row_sums(index, length, count, values)
-        negated = _sparse_row_sums(index, length, count, -values)
-        assert _bits(*rows) == _bits(*np.add.reduce(dense, axis=1))
-        assert _bits(*negated) == _bits(*np.add.reduce(-dense, axis=1))
-        whole = _sparse_row_sums(index, dense.size, 1, values)
-        assert _bits(*whole) == _bits(np.add.reduce(dense, axis=None))
+    @given(diagnostic_instances())
+    def test_dense_and_entries_follow_the_rule(self, instance):
+        pi, gamma = instance
+        m, n = pi.shape
+        value = float(np.sum(_sequential_sums(pi * gamma)))
+        residuals = (
+            float(np.abs(_sequential_sums(pi) - 1.0 / m).sum()),
+            float(np.abs(_sequential_sums(pi.T) - 1.0 / n).sum()),
+        )
+        index = np.flatnonzero(pi)
+        entries = PlanEntries((m, n), index, pi.reshape(-1)[index])
+        for plan in (pi, entries):
+            assert _bits(transport_value(plan, gamma)) == _bits(value)
+            assert _bits(*marginal_residuals(plan, m, n)) == _bits(*residuals)
+
+    def test_dense_diagnostics_allocate_no_dense_matrix(self):
+        # np.sum(pi * gamma) alone would allocate 8 MB here.
+        rng = np.random.default_rng(13)
+        pi, gamma = rng.random((1000, 1000)), rng.random((1000, 1000))
+        tracemalloc.start()
+        try:
+            transport_value(pi, gamma)
+            marginal_residuals(pi, 1000, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 @st.composite
