@@ -45,9 +45,8 @@ from .oracle import exact_ot
 from .potentials import squared_euclidean
 from .solver import (
     SolverConfig,
-    TransportPlan,
+    _plan_result,
     iteration_budget,
-    marginal_residuals,
     nasa_solve,
     robust_solve,
     sinkhorn_solve,
@@ -135,7 +134,6 @@ def _run_robust(gamma, z, args, fields):
             gamma, z, cfg, _parse_target_range(args.target_T)
         )
     m, n = gamma.shape
-    certified = False
     if args.T is not None:
         iterations = args.T
         try:
@@ -166,9 +164,8 @@ def _solve_mode(gamma, args, fields):
     """
     if args.mode == "exact":
         sol = exact_ot(gamma)
-        residuals = marginal_residuals(sol.plan, *gamma.shape)
         # No iteration count: a None field is left out of the report.
-        plan = TransportPlan(sol.plan, sol.value, *residuals, iterations_run=None)
+        plan = _plan_result(sol.plan, sol.value, iterations=None)
     elif args.mode == "robust":
         z = args.z if args.z is not None else median_threshold(gamma)
         plan = _run_robust(gamma, z, args, fields)
@@ -204,6 +201,15 @@ def _solve_mode(gamma, args, fields):
     return plan
 
 
+def _finish(fields, start: float, report_path) -> int:
+    """Time the command since ``start``, echo its report and write it to ``report_path``."""
+    fields["wall_ms"] = (time.perf_counter() - start) * 1000.0
+    sys.stdout.write(render_report(fields))
+    if report_path:
+        write_report(report_path, fields)
+    return 0
+
+
 def cmd_gen(args) -> int:
     start = time.perf_counter()
     points = sample_spec(args.spec, args.seed)
@@ -216,10 +222,8 @@ def cmd_gen(args) -> int:
         "dim": int(points.shape[1]),
         "out": args.out,
         "sha256_out": sha256_file(args.out),
-        "wall_ms": (time.perf_counter() - start) * 1000.0,
     }
-    sys.stdout.write(render_report(fields))
-    return 0
+    return _finish(fields, start, None)
 
 
 def cmd_distance(args) -> int:
@@ -237,11 +241,7 @@ def cmd_distance(args) -> int:
         "sha256_y": sha256_file(args.y),
     }
     _solve_mode(gamma, args, fields)
-    fields["wall_ms"] = (time.perf_counter() - start) * 1000.0
-    sys.stdout.write(render_report(fields))
-    if args.out:
-        write_report(args.out, fields)
-    return 0
+    return _finish(fields, start, args.out)
 
 
 def cmd_detect(args) -> int:
@@ -262,17 +262,7 @@ def cmd_detect(args) -> int:
     }
     z = args.z if args.z is not None else estimate_z(clean, args.percentile, args.seed)
     plan = _run_robust(gamma, z, args, fields)
-    report = detect_outliers(
-        plan,
-        eps_zero=args.eps_zero,
-        params={
-            "z": z,
-            "percentile": args.percentile,
-            "T": fields["T"],
-            "beta": args.beta,
-            "lambda": args.lam,
-        },
-    )
+    report = detect_outliers(plan, eps_zero=args.eps_zero)
     fields.update(
         flagged=report.flagged,
         n_flagged=len(report.flagged),
@@ -286,11 +276,7 @@ def cmd_detect(args) -> int:
             outlier_recall=metrics.outlier_recall,
             inlier_specificity=metrics.inlier_specificity,
         )
-    fields["wall_ms"] = (time.perf_counter() - start) * 1000.0
-    sys.stdout.write(render_report(fields))
-    if args.out:
-        write_report(args.out, fields)
-    return 0
+    return _finish(fields, start, args.out)
 
 
 def cmd_solve(args) -> int:
@@ -307,10 +293,7 @@ def cmd_solve(args) -> int:
     }
     plan = _solve_mode(gamma, args, fields)
     write_matrix(args.out, plan.pi)
-    fields["wall_ms"] = (time.perf_counter() - start) * 1000.0
-    sys.stdout.write(render_report(fields))
-    write_report(str(args.out) + ".report", fields)
-    return 0
+    return _finish(fields, start, str(args.out) + ".report")
 
 
 def _add_common_solver_flags(p):

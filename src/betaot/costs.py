@@ -16,11 +16,14 @@ level; when those are many, the solver forms the dense matrix and runs
 its dense loop.  Every entry has the same bits as in
 ``scale * sq_euclidean_cost(x, y)``.
 
-The distances come from scipy's ``cdist``, imported by the functions
-that call it, so importing this module does not load scipy.
+Every distance comes from one ``cdist`` call, in
+``SqEuclideanCost.__getitem__``, which imports scipy on first use, so
+importing this module does not load it.  :func:`sq_euclidean_cost` is
+the class's dense matrix; :func:`estimate_z` takes minima block by block.
 """
 
 import copy
+import itertools
 import math
 
 import numpy as np
@@ -31,7 +34,8 @@ from .errors import (
     DimensionMismatchError,
     InfeasibleToleranceError,
 )
-from .solver import _BLOCK_ROWS, SolverConfig, _validate_cost, iteration_budget
+from .solver import _BLOCK_ROWS, SolverConfig, iteration_budget
+from .solver import _decrement_sum, _validate_cost
 
 # Offset added to the inverted budget target so the re-evaluated bound
 # lands strictly above the integer target instead of exactly on it
@@ -55,39 +59,31 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-def _point_pair(x, y):
-    xp = _as_points(x)
-    yp = _as_points(y)
-    if xp.shape[1] != yp.shape[1]:
-        raise DimensionMismatchError(
-            f"point dimensions differ: {xp.shape[1]} vs {yp.shape[1]}"
-        )
-    return xp, yp
-
-
 def sq_euclidean_cost(x, y) -> np.ndarray:
     """Pairwise squared Euclidean distances between two point clouds."""
-    from scipy.spatial.distance import cdist
-
-    return cdist(*_point_pair(x, y), metric="sqeuclidean")
+    return SqEuclideanCost(x, y).dense()
 
 
 class SqEuclideanCost:
-    """The cost ``sq_euclidean_cost(x, y)``, evaluated on demand in blocks of rows.
+    """The squared Euclidean cost of two point clouds, evaluated in blocks of rows.
 
-    Holds the two point clouds (validated as :func:`sq_euclidean_cost`
-    validates them) and the scales applied so far, and never the m x n
-    matrix.  ``scaled(s)`` multiplies it by ``s``; ``cost[a:b]`` evaluates
-    rows ``a`` to ``b - 1``, as the same slice of the matrix gives them;
-    ``dense()`` forms the matrix.  ``cdist`` computes each pair on its
-    own, and each scale multiplies each entry once, so every entry,
-    whether from a block or from ``dense()``, has the bits of
-    ``s * sq_euclidean_cost(x, y)``.  ``solver.robust_solve`` and
+    Holds the two point clouds (nonempty, finite, of one dimension) and
+    the scales applied so far, and never the m x n matrix.  ``scaled(s)``
+    multiplies it by ``s``; ``cost[a:b]`` evaluates rows ``a`` to
+    ``b - 1``, as the same slice of the matrix gives them; ``dense()``
+    forms the matrix.  ``cdist`` computes each pair on its own, and each
+    scale multiplies each entry once, so an entry from a block has the
+    bits of the same entry of ``dense()``.  ``solver.robust_solve`` and
     :func:`auto_scale` accept it.
     """
 
     def __init__(self, x, y):
-        self.x, self.y = _point_pair(x, y)
+        self.x = _as_points(x)
+        self.y = _as_points(y)
+        if self.x.shape[1] != self.y.shape[1]:
+            raise DimensionMismatchError(
+                f"point dimensions differ: {self.x.shape[1]} vs {self.y.shape[1]}"
+            )
         self.shape = (self.x.shape[0], self.y.shape[0])
         self._scales = ()
 
@@ -150,7 +146,8 @@ def estimate_z(clean, percentile: float, seed: int) -> float:
     halves (the first floor(k/2) shuffled points become the rows, the
     remaining ceil(k/2) the reference half).  For each row point, takes
     the minimum squared Euclidean distance to the reference half, and
-    returns the nearest-rank percentile of those minima.
+    returns the nearest-rank percentile of those minima.  The distances
+    are evaluated ``_BLOCK_ROWS`` rows at a time, never as one matrix.
 
     Deterministic for a fixed seed and nondecreasing in the percentile.
     """
@@ -162,10 +159,10 @@ def estimate_z(clean, percentile: float, seed: int) -> float:
         raise ValueError(f"percentile must be in (0, 100], got {percentile}")
     perm = np.random.default_rng(seed).permutation(k)
     half = k // 2
-    rows = pts[perm[:half]]
-    reference = pts[perm[half:]]
-    minima = sq_euclidean_cost(rows, reference).min(axis=1)
-    return _nearest_rank(minima, percentile)
+    # A block at a time: a minimum does not depend on the order of its terms.
+    cost = SqEuclideanCost(pts[perm[:half]], pts[perm[half:]])
+    minima = [cost[a:a + _BLOCK_ROWS].min(axis=1) for a in range(0, half, _BLOCK_ROWS)]
+    return _nearest_rank(np.concatenate(minima), percentile)
 
 
 def auto_scale(cost, z: float, cfg: SolverConfig, target_range: tuple[int, int]):
@@ -200,9 +197,9 @@ def auto_scale(cost, z: float, cfg: SolverConfig, target_range: tuple[int, int])
         pass
 
     beta, lam = cfg.beta, cfg.lam
-    decrement_sum = (1.0 / m) ** (beta - 1.0) + (1.0 / n) ** (beta - 1.0)
+    decrement_sum = _decrement_sum(beta, m, n)
     midpoint = (lo + hi) / 2.0
-    for t_star in [midpoint] + list(range(lo, hi + 1)):
+    for t_star in itertools.chain([midpoint], range(lo, hi + 1)):
         s = lam * ((t_star + _TARGET_NUDGE) * decrement_sum + 1.0) / ((beta - 1.0) * z)
         if not (s > 0.0 and math.isfinite(s)):
             continue

@@ -3,8 +3,9 @@
 Point-cloud files are one point per row, comma-separated decimals, with
 an optional single header row (detected by a non-numeric first row).
 Cost matrices and plans are dense comma-separated rows without headers.
-Plans are written with full round-trip precision and exact zeros as the
-literal ``0``.
+Both are read by one reader: ``np.loadtxt``, else one line parser, so
+each error reads the same.  Plans are written with full round-trip
+precision and exact zeros as the literal ``0``.
 
 Nearly all of a large write is ``repr`` of each float, under the GIL.
 So a write of at least ``2 * _MIN_HELPER_ENTRIES`` entries, with two or
@@ -26,6 +27,7 @@ import os
 import shutil
 import sys
 import tempfile
+from collections import namedtuple
 
 import numpy as np
 
@@ -67,86 +69,66 @@ def _load_rows(fh, pos):
     return rows if np.isfinite(rows).all() else None
 
 
+# The format of a CSV table: whether a non-numeric first row is a header
+# (else it is an error), and the nouns of the parser's messages.
+_Table = namedtuple("_Table", "header file row entries")
+_POINTS = _Table(True, "point-cloud file", "data row", "coordinates")
+_COSTS = _Table(False, "cost file", "row", "cost entries")
+
+
 def read_point_cloud(path) -> np.ndarray:
     """Read a point cloud CSV, skipping an optional header row.
 
     Returns an array of shape (k, d); a header-only file yields (0, d).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        pos, first = _next_line(fh)
-        if first is not None:
-            dim = len(first.split(","))
-            if _parse_numeric_row(first.strip()) is None:
-                pos, line = _next_line(fh)
-                if line is None:
-                    return np.zeros((0, dim))
-            pts = _load_rows(fh, pos)
-            if pts is not None and pts.shape[1] == dim:
-                return pts
-        fh.seek(0)
-        return _parse_point_cloud(path, fh)
-
-
-def _parse_point_cloud(path, fh) -> np.ndarray:
-    """The line parser behind :func:`read_point_cloud`."""
-    lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise FormatError(f"{path}: empty point-cloud file")
-    first = _parse_numeric_row(lines[0])
-    if first is None:
-        dim = len(lines[0].split(","))
-        data_lines = lines[1:]
-    else:
-        dim = len(first)
-        data_lines = lines
-    rows = []
-    for ln in data_lines:
-        row = _parse_numeric_row(ln)
-        if row is None:
-            raise FormatError(f"{path}: non-numeric data row {ln!r}")
-        if len(row) != dim:
-            raise FormatError(f"{path}: ragged row with {len(row)} fields, expected {dim}")
-        rows.append(row)
-    pts = np.array(rows, dtype=float).reshape(len(rows), dim)
-    if not np.all(np.isfinite(pts)):
-        raise FormatError(f"{path}: non-finite coordinates")
-    return pts
+    return _read_table(path, _POINTS)
 
 
 def read_cost_matrix(path) -> np.ndarray:
     """Read a dense cost matrix CSV; entries must be finite and nonnegative."""
-    with open(path, "r", encoding="utf-8") as fh:
-        pos, first = _next_line(fh)
-        if first is not None:
-            gamma = _load_rows(fh, pos)
-            if gamma is not None and np.all(gamma >= 0.0):
-                return gamma
-        fh.seek(0)
-        return _parse_cost_matrix(path, fh)
-
-
-def _parse_cost_matrix(path, fh) -> np.ndarray:
-    """The line parser behind :func:`read_cost_matrix`."""
-    lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise FormatError(f"{path}: empty cost file")
-    rows = []
-    width = None
-    for ln in lines:
-        row = _parse_numeric_row(ln)
-        if row is None:
-            raise FormatError(f"{path}: non-numeric row {ln!r}")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise FormatError(f"{path}: ragged row with {len(row)} fields, expected {width}")
-        rows.append(row)
-    gamma = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(gamma)):
-        raise FormatError(f"{path}: non-finite cost entries")
+    gamma = _read_table(path, _COSTS)
     if np.any(gamma < 0.0):
         raise FormatError(f"{path}: negative cost entries")
     return gamma
+
+
+def _read_table(path, table: _Table) -> np.ndarray:
+    """The finite table at ``path``: ``np.loadtxt`` if it reads it, else the line parser."""
+    with open(path, "r", encoding="utf-8") as fh:
+        pos, first = _next_line(fh)
+        if first is not None:
+            dim = len(first.split(","))
+            if table.header and _parse_numeric_row(first.strip()) is None:
+                pos, line = _next_line(fh)
+                if line is None:
+                    return np.zeros((0, dim))
+            rows = _load_rows(fh, pos)
+            if rows is not None and rows.shape[1] == dim:
+                return rows
+        fh.seek(0)
+        return _parse_table(path, fh, table)
+
+
+def _parse_table(path, fh, table: _Table) -> np.ndarray:
+    """The line parser behind :func:`_read_table`: every format error it raises."""
+    lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise FormatError(f"{path}: empty {table.file}")
+    dim = len(lines[0].split(","))
+    if table.header and _parse_numeric_row(lines[0]) is None:
+        lines = lines[1:]
+    rows = []
+    for ln in lines:
+        row = _parse_numeric_row(ln)
+        if row is None:
+            raise FormatError(f"{path}: non-numeric {table.row} {ln!r}")
+        if len(row) != dim:
+            raise FormatError(f"{path}: ragged row with {len(row)} fields, expected {dim}")
+        rows.append(row)
+    values = np.array(rows, dtype=float).reshape(len(rows), dim)
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{path}: non-finite {table.entries}")
+    return values
 
 
 def format_value(v: float) -> str:

@@ -87,10 +87,6 @@ def squared_euclidean() -> Potential:
     return Potential(kind=SQ_EUCLIDEAN, clamp_bound=-1.0)
 
 
-def _as_float_array(x):
-    return np.asarray(x, dtype=float)
-
-
 def _scalar_or_array(out, template):
     if np.ndim(template) == 0:
         return float(out)
@@ -103,7 +99,7 @@ def phi(p, pot: Potential):
     ``phi(1) = 0`` for every kind.  Beta and Shannon require ``p >= 0``;
     squared Euclidean accepts any real.
     """
-    p_arr = _as_float_array(p)
+    p_arr = np.asarray(p, dtype=float)
     if pot.kind == BETA:
         if np.any(p_arr < 0.0):
             raise DomainError("beta generator requires p >= 0")
@@ -125,7 +121,7 @@ def phi_prime(p, pot: Potential):
     Strictly increasing with ``phi_prime(1) = 0``.  For Shannon,
     ``phi_prime(0)`` is the documented ``-inf`` sentinel, not an error.
     """
-    p_arr = _as_float_array(p)
+    p_arr = np.asarray(p, dtype=float)
     if pot.kind == BETA:
         if np.any(p_arr < 0.0):
             raise DomainError("beta generator requires p >= 0")
@@ -192,7 +188,7 @@ def psi_prime(t, pot: Potential):
     the beta kind the domain is ``[1/(1-beta), inf)`` with the boundary
     mapped to exactly 0.
     """
-    t_arr = _as_float_array(t)
+    t_arr = np.asarray(t, dtype=float)
     if pot.kind == BETA:
         active, t_active = _beta_active(t_arr, pot)
         powered = _base_inplace(t_active, pot) ** (1.0 / (pot.beta - 1.0))
@@ -212,7 +208,7 @@ def psi_second(t, pot: Potential):
     convention when ``beta >= 2``, so clamped dual entries never
     contribute to Newton denominators.
     """
-    t_arr = _as_float_array(t)
+    t_arr = np.asarray(t, dtype=float)
     if pot.kind == BETA:
         active, t_active = _beta_active(t_arr, pot)
         base = _base_inplace(t_active, pot)
@@ -239,7 +235,7 @@ def psi_pair(t_arr: np.ndarray, pot: Potential):
     robust solver calls its arithmetic, :func:`_psi_pair_inplace`, directly.
     """
     if pot.kind == BETA:
-        t_arr = _as_float_array(t_arr)
+        t_arr = np.asarray(t_arr, dtype=float)
         active, t_active = _beta_active(t_arr, pot)
         ps, pss = _psi_pair_inplace(t_active, pot)
         return _dense(ps, active, t_arr.shape), _dense(pss, active, t_arr.shape)
@@ -261,8 +257,8 @@ def bregman_div(p, q, pot: Potential):
     Nonnegative, zero exactly when the arguments coincide (up to
     floating-point cancellation of order 1e-16).
     """
-    p_arr = _as_float_array(p)
-    q_arr = _as_float_array(q)
+    p_arr = np.asarray(p, dtype=float)
+    q_arr = np.asarray(q, dtype=float)
     if pot.kind == BETA:
         if np.any(p_arr < 0.0) or np.any(q_arr < 0.0):
             raise DomainError("beta divergence requires p, q >= 0")

@@ -99,13 +99,8 @@ def truncated_step(theta_hat, ps_sum, pss_sum, cap: float, size: int):
     return step
 
 
-def _dual_and_size(theta_star, size, axis):
-    theta_star = np.asarray(theta_star, dtype=float)
-    return theta_star, theta_star.shape[1 - axis] if size is None else size
-
-
 def _newton_decrement(theta_star, pot, axis, size):
-    theta_star, size = _dual_and_size(theta_star, size, axis)
+    theta_star = np.asarray(theta_star, dtype=float)
     ps, pss = psi_pair(theta_star, pot)
     lower = _truncation_bound(theta_star, pot, axis, size)
     # Sequential line sums, as in the solver's loops.
@@ -114,12 +109,12 @@ def _newton_decrement(theta_star, pot, axis, size):
 
 
 def _truncate(tau, theta_star, pot, axis, size):
-    theta_star, size = _dual_and_size(theta_star, size, axis)
+    theta_star = np.asarray(theta_star, dtype=float)
     lower = _truncation_bound(theta_star, pot, axis, size)
     return np.maximum(np.asarray(tau, dtype=float), lower)
 
 
-def row_newton_decrement(theta_star, pot: Potential, m: int | None = None):
+def row_newton_decrement(theta_star, pot: Potential, m: int):
     """Single Newton step for the row-sum multipliers.
 
     ``tau_i = (sum_j psi'(theta*_ij) - 1/m) / (sum_j psi''(theta*_ij))``.
@@ -136,7 +131,7 @@ def row_newton_decrement(theta_star, pot: Potential, m: int | None = None):
     return _newton_decrement(theta_star, pot, 1, m)
 
 
-def truncate_row_decrement(tau, theta_star, pot: Potential, m: int | None = None):
+def truncate_row_decrement(tau, theta_star, pot: Potential, m: int):
     """Lower-bound each row decrement so no post-step entry exceeds the row cap.
 
     Raising ``tau_i`` to ``max_j theta*_ij - phi_prime(1/m)`` guarantees
@@ -153,12 +148,12 @@ def apply_row(theta_tilde, tau):
     return theta_tilde - np.asarray(tau, dtype=float)[:, None]
 
 
-def col_newton_decrement(theta_star, pot: Potential, n: int | None = None):
+def col_newton_decrement(theta_star, pot: Potential, n: int):
     """Column mirror of :func:`row_newton_decrement` with target 1/n."""
     return _newton_decrement(theta_star, pot, 0, n)
 
 
-def truncate_col_decrement(sigma, theta_star, pot: Potential, n: int | None = None):
+def truncate_col_decrement(sigma, theta_star, pot: Potential, n: int):
     """Column mirror of :func:`truncate_row_decrement` with cap ``phi_prime(1/n)``."""
     return _truncate(sigma, theta_star, pot, 0, n)
 

@@ -149,7 +149,8 @@ def iteration_budget(z: float, cfg: SolverConfig, m: int, n: int) -> IterationBu
     ------
     DomainError
         If ``beta <= 1`` or ``lam <= 0``, where the bound is undefined, or
-        if ``z`` or the bound is not finite (``z/lam`` can overflow).
+        if ``z`` or the bound is not finite (``z/lam`` can overflow, and
+        for a large beta the denominator can underflow to 0).
     InfeasibleToleranceError
         If ``z <= lam / (beta - 1)``, where the bound is nonpositive.
     BudgetExhaustedError
@@ -167,8 +168,7 @@ def iteration_budget(z: float, cfg: SolverConfig, m: int, n: int) -> IterationBu
         raise InfeasibleToleranceError(
             f"tolerance z={z} must exceed lambda/(beta-1)={lam / (beta - 1.0)}"
         )
-    decrement_sum = (1.0 / m) ** (beta - 1.0) + (1.0 / n) ** (beta - 1.0)
-    t_max_real = ((z / lam) * (beta - 1.0) - 1.0) / decrement_sum
+    t_max_real = ((z / lam) * (beta - 1.0) - 1.0) / _decrement_sum(beta, m, n)
     if not math.isfinite(t_max_real):
         raise DomainError(
             f"the iteration bound for z={z}, lambda={lam} is not finite; "
@@ -181,6 +181,14 @@ def iteration_budget(z: float, cfg: SolverConfig, m: int, n: int) -> IterationBu
             "(see auto_scale) or increase z"
         )
     return IterationBudget(t_max_real=t_max_real, budget=budget)
+
+
+def _decrement_sum(beta: float, m: int, n: int) -> float:
+    """The bound's denominator ``(1/m)^(beta-1) + (1/n)^(beta-1)``; DomainError at 0."""
+    total = (1.0 / m) ** (beta - 1.0) + (1.0 / n) ** (beta - 1.0)
+    if total == 0.0:
+        raise DomainError(f"beta={beta} underflows the iteration bound's denominator to 0")
+    return total
 
 
 def _resolve_iterations(cfg: SolverConfig, m: int, n: int) -> int:
@@ -409,7 +417,7 @@ def sinkhorn_solve(
     all-zero row or column (or scaling factors degenerate), raises
     :class:`NumericalUnderflowError`; rerun with a larger ``lam``, a
     rescaled cost, or ``log_space=True``, which evaluates the updates with
-    log-sum-exp and cannot underflow for finite costs.
+    log-sum-exp and raises it only when ``cost/lam`` overflows the floats.
     """
     gamma = _validate_cost(cost)
     _check_lambda(lam)
@@ -417,7 +425,8 @@ def sinkhorn_solve(
         return _sinkhorn_log(gamma, lam, tol, max_iter)
 
     m, n = gamma.shape
-    kernel = np.exp(-gamma / lam)
+    with np.errstate(over="ignore"):  # a cost/lam beyond the floats gives a zero entry
+        kernel = np.exp(-gamma / lam)
     if np.any(kernel.sum(axis=1) == 0.0) or np.any(kernel.sum(axis=0) == 0.0):
         raise NumericalUnderflowError(
             "kernel exp(-cost/lam) underflowed to an all-zero row/column; "
@@ -461,13 +470,18 @@ def _sinkhorn_log(gamma: np.ndarray, lam: float, tol: float, max_iter: int):
     g = np.zeros(n)
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
-        f = lam * (log_r - logsumexp((g[None, :] - gamma) / lam, axis=1))
-        g = lam * (log_c - logsumexp((f[:, None] - gamma) / lam, axis=0))
-        if _stop_residual(np.exp((f[:, None] + g[None, :] - gamma) / lam), m, n) <= tol:
-            converged = True
-            break
-    pi = np.exp((f[:, None] + g[None, :] - gamma) / lam)
+    # A cost/lam beyond the floats makes the residual non-finite, which raises.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for iterations in range(1, max_iter + 1):
+            f = lam * (log_r - logsumexp((g[None, :] - gamma) / lam, axis=1))
+            g = lam * (log_c - logsumexp((f[:, None] - gamma) / lam, axis=0))
+            residual = _stop_residual(np.exp((f[:, None] + g[None, :] - gamma) / lam), m, n)
+            if not math.isfinite(residual):
+                raise NumericalUnderflowError("the log-space plan is not finite; increase lam")
+            if residual <= tol:
+                converged = True
+                break
+        pi = np.exp((f[:, None] + g[None, :] - gamma) / lam)
     return _plan_result(pi, transport_value(pi, gamma), iterations, converged)
 
 

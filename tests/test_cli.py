@@ -1,5 +1,6 @@
 """Command-line surface: CSV formats, reports, exit codes, determinism."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -123,6 +124,30 @@ class TestDistance:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "NaN to integer" not in err
+
+    def test_underflowing_budget_denominator_exits_two(self, tmp_path, capsys):
+        # (1/30)^399 underflows to 0, so the bound is not finite.
+        rng = np.random.default_rng(14)
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_point_cloud(x, rng.standard_normal((30, 2)))
+        write_point_cloud(y, rng.standard_normal((30, 2)))
+        assert run_cli("distance", "--x", x, "--y", y, "--beta", 400) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "underflows" in err
+
+    def test_overflowing_log_space_sinkhorn_exits_four(self, tmp_path, capsys):
+        # cost/lambda overflows: kernel space underflows, log space gives no finite plan.
+        rng = np.random.default_rng(15)
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_point_cloud(x, rng.standard_normal((8, 2)))
+        write_point_cloud(y, rng.standard_normal((8, 2)) + 1.0)
+        out = tmp_path / "rep.txt"
+        assert run_cli("distance", "--x", x, "--y", y, "--mode", "sinkhorn",
+                       "--lambda", "1e-308", "--out", out) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_file_exits_two(self, tmp_path):
         assert run_cli("distance", "--x", tmp_path / "nope.csv",
@@ -549,3 +574,25 @@ class TestStartup:
         assert here.pop("plan_out") == str(plan_path)
         assert there.pop("plan_out") == str(fresh)
         assert here == there
+
+    def test_cdist_is_imported_and_called_only_by_the_lazy_cost(self):
+        """One ``cdist`` site in the package, in ``SqEuclideanCost.__getitem__``."""
+
+        def sites(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    inner = f"{scope}.{child.name}"
+                if isinstance(child, ast.ImportFrom) and "cdist" in {a.name for a in child.names}:
+                    yield "import", inner
+                if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "cdist":
+                    yield "call", inner
+                yield from sites(child, inner)
+
+        found = sorted(
+            site
+            for path in (SRC / "betaot").glob("*.py")
+            for site in sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        )
+        where = "costs.SqEuclideanCost.__getitem__"
+        assert found == [("call", where), ("import", where)]

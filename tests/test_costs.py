@@ -1,8 +1,12 @@
 """Cost construction, threshold heuristics, and budget-targeted rescaling."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from betaot import costs
 from betaot import (
     AutoScaleError,
     BudgetExhaustedError,
@@ -149,6 +153,21 @@ class TestEstimateZ:
         values = [estimate_z(pts, pct, seed=4) for pct in (10, 30, 50, 70, 90, 99, 100)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
+    def test_blocks_give_the_dense_minima_without_the_dense_matrix(self):
+        # 2000 x 2000 distances: 32 MB formed at once, 1 MB a block at a time.
+        pts = np.random.default_rng(86).standard_normal((4000, 3))
+        with mock.patch.object(costs, "_nearest_rank", wraps=costs._nearest_rank) as rank:
+            tracemalloc.start()
+            try:
+                estimate_z(pts, 99.0, seed=5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        perm = np.random.default_rng(5).permutation(4000)
+        dense = sq_euclidean_cost(pts[perm[:2000]], pts[perm[2000:]]).min(axis=1)
+        assert rank.call_args.args[0].tobytes() == dense.tobytes()
+        assert peak < 4_000_000
+
     def test_preconditions(self):
         pts = np.zeros((3, 2))
         with pytest.raises(ValueError):
@@ -222,6 +241,22 @@ class TestAutoScale:
     def test_beta_outside_domain_is_not_an_auto_scale_failure(self):
         with pytest.raises(DomainError):
             auto_scale(np.zeros((4, 4)), 5.0, SolverConfig(beta=1.0), (1, 19))
+
+    def test_underflowing_budget_denominator_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="underflows"):
+            auto_scale(np.zeros((30, 30)), 10.0, SolverConfig(beta=400.0), (1, 19))
+
+    def test_wide_target_range_is_walked_lazily(self):
+        # z is below lam/(beta-1), so the midpoint target is tried first.
+        cfg = SolverConfig(beta=1.2, lam=2.0)
+        tracemalloc.start()
+        try:
+            scale, _, scaled_z = auto_scale(np.zeros((3, 4)), 0.5, cfg, (1, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1 <= iteration_budget(scaled_z, cfg, 3, 4).budget <= 10**6
+        assert peak < 1_000_000
 
     def test_bad_inputs(self):
         cfg = SolverConfig(beta=1.2, lam=2.0)

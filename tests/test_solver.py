@@ -117,6 +117,14 @@ class TestIterationBudget:
         with pytest.raises(DomainError, match="not finite"):
             iteration_budget(1e10, SolverConfig(beta=1.2, lam=1e-300), 3, 3)
 
+    def test_underflowing_denominator_raises(self):
+        # (1/30)^399 + (1/30)^399 underflows to 0: the bound would divide by zero.
+        cfg = SolverConfig(beta=400.0, lam=2.0, z=10.0)
+        with pytest.raises(DomainError, match="underflows"):
+            iteration_budget(10.0, cfg, 30, 30)
+        with pytest.raises(DomainError, match="underflows"):
+            robust_solve(np.ones((30, 30)), cfg)
+
 
 class TestRobustSolve:
     def test_hand_traced_two_by_two(self):
@@ -217,6 +225,13 @@ class TestSinkhorn:
         assert np.isfinite(plan.value)
         assert plan.converged
         assert plan.row_residual_l1 <= 1e-9
+
+    def test_log_space_overflow_raises(self):
+        # cost/lam overflows the floats, so no iteration gives a finite plan.
+        rng = np.random.default_rng(0)
+        gamma = sq_euclidean_cost(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)) + 1.0)
+        with pytest.raises(NumericalUnderflowError):
+            sinkhorn_solve(gamma, 1e-308, log_space=True)
 
     def test_log_space_matches_kernel_space(self):
         rng = np.random.default_rng(62)
