@@ -136,9 +136,11 @@ def _run_robust(gamma, z, args, fields):
     m, n = gamma.shape
     if args.T is not None:
         iterations = args.T
+        # Any reason the bound cannot be computed leaves T uncertified; an
+        # invalid beta or lambda still fails in the solver.
         try:
             certified = iterations <= iteration_budget(z_solve, cfg, m, n).budget
-        except (InfeasibleToleranceError, BudgetExhaustedError):
+        except BetaOTError:
             certified = False
     else:
         iterations = iteration_budget(z_solve, cfg, m, n).budget
@@ -176,15 +178,7 @@ def _solve_mode(gamma, args, fields):
         )
     else:
         fields["lambda"] = args.lam
-        try:
-            plan = sinkhorn_solve(
-                gamma, args.lam, args.sinkhorn_tol, args.max_iter, args.log_space
-            )
-        except NumericalUnderflowError:
-            plan = sinkhorn_solve(
-                gamma, args.lam, args.sinkhorn_tol, args.max_iter, log_space=True
-            )
-            fields["sinkhorn_fallback"] = "log_space"
+        plan = sinkhorn_solve(gamma, args.lam, args.sinkhorn_tol, args.max_iter)
     # The solve ran on gamma itself unless robust mode rescaled it.
     if fields.get("scale", 1.0) == 1.0:
         value = plan.value
@@ -309,7 +303,6 @@ def _add_mode_flags(p):
     p.add_argument("--mode", choices=MODES, default="robust")
     p.add_argument("--sinkhorn-tol", dest="sinkhorn_tol", type=float, default=1e-9)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=10000)
-    p.add_argument("--log-space", dest="log_space", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,7 +30,7 @@ class UnsupportedGeneratorError(BetaOTError, ValueError):
 
 
 class NumericalUnderflowError(BetaOTError, ArithmeticError):
-    """The scaling kernel underflowed to an all-zero row or column."""
+    """A solve left the floats: ``cost/lam`` or a scaling overflowed, or a multiplier did."""
 
 
 class SizeError(BetaOTError, ValueError):

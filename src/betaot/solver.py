@@ -17,8 +17,8 @@ Three solvers share the dual-coordinate machinery:
   Both loops form every line sum of a half-step sequentially, with
   ``bincount`` over the active entries in row-major order, so they give
   bit-identical plans, values and residuals.
-- :func:`sinkhorn_solve` is the classical kernel-space scaling method for
-  the Shannon entropy (with an explicit log-space variant).
+- :func:`sinkhorn_solve` is the classical scaling method for the Shannon
+  entropy, on a kernel whose offsets keep it from underflowing.
 - :func:`nasa_solve` is the generic alternating-projection loop with inner
   Newton iterations run to convergence; it requires a cofinite generator
   (Shannon or squared Euclidean) and exists as the reference the truncated
@@ -405,84 +405,86 @@ def sinkhorn_solve(
     lam: float,
     tol: float = 1e-9,
     max_iter: int = 10000,
-    log_space: bool = False,
 ) -> TransportPlan:
-    """Classical scaling iterations on the kernel ``exp(-cost/lam)``.
+    """Classical scaling iterations for the Shannon entropy, on an offset kernel.
 
     Uniform marginals 1/m and 1/n.  Stops when the summed row+column L1
-    residual drops to ``tol`` or after ``max_iter`` iterations; residuals
-    are reported either way.
+    residual drops to ``tol`` or after ``max_iter`` (at least 1)
+    completed iterations; residuals are reported either way.
 
-    Works in kernel space by default.  If the kernel underflows to an
-    all-zero row or column (or scaling factors degenerate), raises
-    :class:`NumericalUnderflowError`; rerun with a larger ``lam``, a
-    rescaled cost, or ``log_space=True``, which evaluates the updates with
-    log-sum-exp and raises it only when ``cost/lam`` overflows the floats.
+    The plan is ``diag(u) K diag(v)`` for ``K = exp((f_i + g_j - C_ij)/lam)``
+    in one buffer (Schmitzer, SIAM J. Sci. Comput. 2019).  The offsets
+    start at 0, where ``K`` is ``exp(-C/lam)`` bit for bit, as ``0 - C``
+    and ``-C + 0`` are ``-C``.  The first non-finite update (at once, if a
+    line of that kernel underflows) sets ``f`` to the row minima of ``C``
+    and ``g`` to the column minima of ``C - f``, and the iteration is
+    redone from ``u = v = 1``.  From then on a scaling outside
+    ``[1e-50, 1e50]`` is absorbed (``f += lam*log(u)``, ``g += lam*log(v)``,
+    ``u = v = 1``) long before a line of ``K`` could underflow: after an
+    overflow, the last finite scalings may already hold zeros.
+
+    With the exponent formed as ``(f_i - C_ij) + g_j``, the offset ``K``
+    has an entry exactly 1 in every line and none above 1.  Rounding is
+    monotone, so ``fl(C_ij - f_i) >= 0`` and ``g_j <= fl(C_ij - f_i) =
+    -fl(f_i - C_ij)``.  At a row's minimum ``f_i - C_ij = 0``, so
+    ``g_j = 0``; at a column's minimum ``fl(f_i - C_ij) = -g_j``.  The
+    redone update thus gives ``1/(mn) <= u <= 1/m`` and ``1/n <= v <= m``.
+
+    Raises :class:`NumericalUnderflowError` when the spread of ``cost/lam``
+    overflows as the offsets are taken, or an update after that is not finite.
     """
     gamma = _validate_cost(cost)
     _check_lambda(lam)
-    if log_space:
-        return _sinkhorn_log(gamma, lam, tol, max_iter)
-
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     m, n = gamma.shape
-    with np.errstate(over="ignore"):  # a cost/lam beyond the floats gives a zero entry
-        kernel = np.exp(-gamma / lam)
-    if np.any(kernel.sum(axis=1) == 0.0) or np.any(kernel.sum(axis=0) == 0.0):
-        raise NumericalUnderflowError(
-            "kernel exp(-cost/lam) underflowed to an all-zero row/column; "
-            "increase lam, rescale the cost, or pass log_space=True"
-        )
     r = 1.0 / m
     c = 1.0 / n
-    v = np.ones(n)
-    u = np.ones(m)
-    kv = kernel @ v
+    kernel = np.empty((m, n))
     iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        u = r / kv
-        ktu = kernel.T @ u
-        v = c / ktu
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise NumericalUnderflowError(
-                "scaling factors overflowed/underflowed; increase lam, "
-                "rescale the cost, or pass log_space=True"
-            )
-        # Marginals of diag(u) K diag(v) without forming it; K v is the
-        # next iteration's denominator.
-        kv = kernel @ v
-        residual = np.abs(u * kv - r).sum() + np.abs(v * ktu - c).sum()
-        if residual <= tol:
-            converged = True
-            break
-    pi = u[:, None] * kernel * v[None, :]
-    return _plan_result(pi, transport_value(pi, gamma), iterations, converged)
-
-
-def _sinkhorn_log(gamma: np.ndarray, lam: float, tol: float, max_iter: int):
-    """Log-domain scaling: potentials f, g with pi = exp((f + g - cost)/lam)."""
-    from scipy.special import logsumexp
-
-    m, n = gamma.shape
-    log_r = -math.log(m)
-    log_c = -math.log(n)
-    f = np.zeros(m)
-    g = np.zeros(n)
-    iterations = 0
-    converged = False
-    # A cost/lam beyond the floats makes the residual non-finite, which raises.
+    offset = converged = False
+    # Exponents below the floats give zeros, zero denominators the scalings handled below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for iterations in range(1, max_iter + 1):
-            f = lam * (log_r - logsumexp((g[None, :] - gamma) / lam, axis=1))
-            g = lam * (log_c - logsumexp((f[:, None] - gamma) / lam, axis=0))
-            residual = _stop_residual(np.exp((f[:, None] + g[None, :] - gamma) / lam), m, n)
-            if not math.isfinite(residual):
-                raise NumericalUnderflowError("the log-space plan is not finite; increase lam")
+        u, v, kv = _restart(gamma, 0.0, 0.0, lam, kernel)
+        while iterations < max_iter:
+            if offset and max(u.max(), v.max(), 1 / u.min(), 1 / v.min()) > 1e50:
+                f += lam * np.log(u)[:, None]
+                g += lam * np.log(v)
+                u, v, kv = _restart(gamma, f, g, lam, kernel)
+            u = r / kv
+            ktu = kernel.T @ u
+            v = c / ktu
+            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+                if offset:
+                    raise NumericalUnderflowError("scalings overflowed on the offset kernel")
+                if not math.isfinite((float(gamma.max()) - float(gamma.min())) / lam):
+                    raise NumericalUnderflowError("the spread of cost/lam overflows the floats")
+                f = gamma.min(axis=1, keepdims=True)
+                g = np.subtract(gamma, f, out=kernel).min(axis=0)
+                offset = True
+                u, v, kv = _restart(gamma, f, g, lam, kernel)
+                continue
+            iterations += 1
+            # Marginals of diag(u) K diag(v) without forming it; K v is the
+            # next iteration's denominator.
+            kv = kernel @ v
+            residual = np.abs(u * kv - r).sum() + np.abs(v * ktu - c).sum()
             if residual <= tol:
                 converged = True
                 break
-        pi = np.exp((f[:, None] + g[None, :] - gamma) / lam)
-    return _plan_result(pi, transport_value(pi, gamma), iterations, converged)
+    kernel *= u[:, None]
+    kernel *= v[None, :]
+    return _plan_result(kernel, transport_value(kernel, gamma), iterations, converged)
+
+
+def _restart(gamma, f, g, lam, kernel):
+    """``exp(((f - C) + g)/lam)`` into ``kernel`` (``f`` a column); ``u = v = 1``, ``K v``."""
+    np.subtract(f, gamma, out=kernel)
+    kernel += g
+    kernel /= lam
+    np.exp(kernel, out=kernel)
+    v = np.ones(kernel.shape[1])
+    return np.ones(kernel.shape[0]), v, kernel @ v
 
 
 def _inner_newton(theta_star, pot, axis, size):
@@ -532,6 +534,8 @@ def nasa_solve(
         )
     gamma = _validate_cost(cost)
     _check_lambda(lam)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     m, n = gamma.shape
 
     theta_tilde = -gamma / lam

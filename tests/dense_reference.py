@@ -9,10 +9,15 @@ array per step, so tests can require bit-identical results from the
 package.  The robust loop's line sums add a line's entries one after
 another, as the package's do (:func:`sequential_sums`).  The
 Sinkhorn reference forms the plan every iteration to test convergence,
-where the package tests the marginals of the scaling vectors.
+where the package tests the marginals of the scaling vectors; its
+log-space form evaluates each update with log-sum-exp, the reference for
+costs whose plain kernel underflows.
 """
 
+import math
+
 import numpy as np
+from scipy.special import logsumexp
 
 from betaot import beta_potential, phi_prime
 from betaot.projections import EPS_DENOMINATOR, apply_col, apply_row, clamp_dual
@@ -119,4 +124,28 @@ def dense_sinkhorn(gamma, lam, tol, max_iter):
             converged = True
             break
     pi = u[:, None] * kernel * v[None, :]
+    return pi, iterations, converged
+
+
+def dense_sinkhorn_log(gamma, lam, tol, max_iter):
+    """Plan, iteration count and convergence flag of log-space Sinkhorn.
+
+    Potentials ``f``, ``g`` with ``pi = exp((f + g - cost)/lam)``, each
+    update a log-sum-exp over the cost's rows or columns.
+    """
+    m, n = gamma.shape
+    log_r = -math.log(m)
+    log_c = -math.log(n)
+    f = np.zeros(m)
+    g = np.zeros(n)
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        f = lam * (log_r - logsumexp((g[None, :] - gamma) / lam, axis=1))
+        g = lam * (log_c - logsumexp((f[:, None] - gamma) / lam, axis=0))
+        pi = np.exp((f[:, None] + g[None, :] - gamma) / lam)
+        if _stop_residual(pi, m, n) <= tol:
+            converged = True
+            break
+    pi = np.exp((f[:, None] + g[None, :] - gamma) / lam)
     return pi, iterations, converged

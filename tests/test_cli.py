@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_reference import dense_sinkhorn_log
 
 from betaot import (
     SolverConfig,
@@ -137,7 +138,7 @@ class TestDistance:
         assert "underflows" in err
 
     def test_overflowing_log_space_sinkhorn_exits_four(self, tmp_path, capsys):
-        # cost/lambda overflows: kernel space underflows, log space gives no finite plan.
+        # cost/lambda overflows: the plain kernel underflows, and no offset gives a finite plan.
         rng = np.random.default_rng(15)
         x, y = tmp_path / "x.csv", tmp_path / "y.csv"
         write_point_cloud(x, rng.standard_normal((8, 2)))
@@ -197,6 +198,40 @@ class TestDistance:
         plan = robust_solve(report["scale"] * gamma, cfg)
         assert report["value"] == transport_value(plan.pi, gamma)
 
+    @pytest.mark.parametrize(
+        "budget_args",
+        [("--beta", 400), ("--z", 1.0), ("--lambda", "1e-300", "--z", "1e10"), ("--z", "inf")],
+    )
+    def test_explicit_iterations_without_a_budget_run_uncertified(self, tmp_path, budget_args):
+        # With --T, any reason iteration_budget cannot give a bound (here a
+        # denominator underflowing to 0, an infeasible z, a bound or a z
+        # that is not finite) leaves the run uncertified instead of failing.
+        rng = np.random.default_rng(14)
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_point_cloud(x, rng.standard_normal((30, 2)))
+        write_point_cloud(y, rng.standard_normal((30, 2)))
+        out = tmp_path / "rep.txt"
+        assert run_cli("distance", "--x", x, "--y", y, *budget_args, "--T", 3, "--out", out) == 0
+        report = load_json_report(out)
+        assert report["robustness_certified"] is False
+        assert report["T"] == 3
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--beta", 1, "--T", 3),
+            ("--lambda", 0, "--T", 3),
+            ("--mode", "sinkhorn", "--max-iter", 0),
+            ("--mode", "nasa-euclidean", "--max-iter", -3),
+        ],
+    )
+    def test_invalid_solver_arguments_exit_two(self, tmp_path, capsys, args):
+        f = tmp_path / "a.csv"
+        write_point_cloud(f, np.random.default_rng(8).standard_normal((6, 2)))
+        assert run_cli("distance", "--x", f, "--y", f, *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_explicit_iterations_not_certified(self, tmp_path):
         rng = np.random.default_rng(9)
         x, y = tmp_path / "x.csv", tmp_path / "y.csv"
@@ -206,19 +241,6 @@ class TestDistance:
         assert run_cli("distance", "--x", x, "--y", y, "--mode", "robust",
                        "--T", 3, "--out", out) == 0
         assert load_json_report(out)["robustness_certified"] is False
-
-    def test_sinkhorn_falls_back_to_log_space_on_underflow(self, tmp_path):
-        # clusters ~60 apart with lambda=1: squared distances ~3600 underflow
-        rng = np.random.default_rng(10)
-        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
-        write_point_cloud(x, rng.standard_normal((8, 2)))
-        write_point_cloud(y, np.array([60.0, 60.0]) + rng.standard_normal((8, 2)))
-        out = tmp_path / "rep.txt"
-        assert run_cli("distance", "--x", x, "--y", y, "--mode", "sinkhorn",
-                       "--lambda", 1.0, "--out", out) == 0
-        report = load_json_report(out)
-        assert report["sinkhorn_fallback"] == "log_space"
-        assert report["value"] > 0
 
     def test_gen_then_exact_distance_end_to_end(self, tmp_path):
         x, y = tmp_path / "x.csv", tmp_path / "y.csv"
@@ -316,7 +338,7 @@ MODE_KEYS = {
 }
 
 
-def _library_plan(mode, gamma, *, log_space=False):
+def _library_plan(mode, gamma):
     """The plan array and value the library gives for the CLI's defaults in ``mode``."""
     if mode == "exact":
         sol = exact_ot(gamma)
@@ -324,7 +346,7 @@ def _library_plan(mode, gamma, *, log_space=False):
     if mode == "robust":
         plan = robust_solve(gamma, SolverConfig(beta=1.2, lam=2.0, iterations=3))
     elif mode == "sinkhorn":
-        plan = sinkhorn_solve(gamma, 2.0, log_space=log_space)
+        plan = sinkhorn_solve(gamma, 2.0)
     else:
         plan = nasa_solve(gamma, 2.0, squared_euclidean())
     return plan.pi, plan.value
@@ -379,22 +401,25 @@ class TestModeReports:
     @pytest.mark.parametrize("command", ["distance", "solve"])
     @pytest.mark.parametrize("log_space", [False, True])
     def test_sinkhorn_log_space(self, tmp_path, capsys, command, log_space):
-        # Clusters about 60 apart with lambda=1: the kernel underflows, so
-        # kernel space falls back to log space and reports it.
+        # Clusters about 60 apart with lambda=1: the plain kernel underflows,
+        # so the solver offsets it and reports no extra key.  The value is
+        # the library's, and with log_space it is checked against the
+        # log-space loop that such costs once needed.
         rng = np.random.default_rng(32)
         x = rng.standard_normal((8, 2))
         y = np.array([60.0, 60.0]) + rng.standard_normal((8, 2))
-        flags = ["--lambda", 1.0] + (["--log-space"] if log_space else [])
         stdout, report, sidecar, gamma = self._run(
-            tmp_path, capsys, command, "sinkhorn", x, y, *flags
+            tmp_path, capsys, command, "sinkhorn", x, y, "--lambda", 1.0
         )
-        keys = COMMON_KEYS | COMMAND_KEYS[command] | MODE_KEYS["sinkhorn"]
-        if not log_space:
-            keys = keys | {"sinkhorn_fallback"}
-            assert sidecar["sinkhorn_fallback"] == "log_space"
         assert report.read_text() == stdout
-        assert set(sidecar) == keys
-        assert sidecar["value"] == sinkhorn_solve(gamma, 1.0, log_space=True).value
+        assert set(sidecar) == COMMON_KEYS | COMMAND_KEYS[command] | MODE_KEYS["sinkhorn"]
+        assert sidecar["converged"] is True
+        if log_space:
+            pi, _, converged = dense_sinkhorn_log(gamma, 1.0, 1e-9, 10000)
+            assert converged
+            assert sidecar["value"] == pytest.approx(transport_value(pi, gamma), rel=1e-9)
+        else:
+            assert sidecar["value"] == sinkhorn_solve(gamma, 1.0).value
 
 
 class TestDetect:
@@ -522,16 +547,18 @@ class TestProcessEntryPoint:
         assert plan_path.exists()
 
 
-# Run in a fresh interpreter: argv is the source directory, the cost CSV
-# and an output directory.  Prints, as its last line, the exit codes and
-# the scipy modules loaded before and after the exact solve.
+# Run in a fresh interpreter: argv is the source directory, the cost CSV,
+# an output directory and a cost CSV whose plain Sinkhorn kernel
+# underflows.  Prints, as its last line, the exit codes and the scipy
+# modules loaded before and after the exact solve.
 STARTUP_CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from betaot.cli import main
-cost, out = sys.argv[2], sys.argv[3]
+cost, out, far = sys.argv[2], sys.argv[3], sys.argv[4]
 runs = [
     ["solve", "--cost", cost, "--mode", "sinkhorn", "--out", out + "/sinkhorn.csv"],
+    ["solve", "--cost", far, "--mode", "sinkhorn", "--out", out + "/far.csv"],
     ["solve", "--cost", cost, "--mode", "robust", "--T", "5", "--out", out + "/robust.csv"],
     ["solve", "--cost", cost, "--mode", "nasa-euclidean", "--out", out + "/nasa.csv"],
     ["gen", "--spec", "gaussian:mean=0,0:scale=1:count=5", "--out", out + "/gen.csv"],
@@ -553,15 +580,18 @@ print(json.dumps({"codes": codes, "before": before, "after": len(scipy_modules()
 
 class TestStartup:
     def test_only_commands_that_call_scipy_load_it(self, tmp_path):
-        cost = tmp_path / "c.csv"
-        write_matrix(cost, np.random.default_rng(23).uniform(0.0, 4.0, size=(6, 8)))
+        cost, far = tmp_path / "c.csv", tmp_path / "far.csv"
+        gamma = np.random.default_rng(23).uniform(0.0, 4.0, size=(6, 8))
+        write_matrix(cost, gamma)
+        gamma[0] += 2000.0  # exp(-2000/2) underflows: the plain kernel's first row is zero
+        write_matrix(far, gamma)
         proc = subprocess.run(
-            [sys.executable, "-c", STARTUP_CHILD, str(SRC), str(cost), str(tmp_path)],
+            [sys.executable, "-c", STARTUP_CHILD, str(SRC), str(cost), str(tmp_path), str(far)],
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         child = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert child["codes"] == [0] * 6
+        assert child["codes"] == [0] * 7
         assert child["before"] == []
         assert child["after"] > 0
 

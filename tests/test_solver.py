@@ -2,10 +2,17 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from dense_reference import dense_robust_duals, dense_robust_solve, dense_sinkhorn, init_dual
+from dense_reference import (
+    dense_robust_duals,
+    dense_robust_solve,
+    dense_sinkhorn,
+    dense_sinkhorn_log,
+    init_dual,
+)
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +40,7 @@ from betaot import (
     squared_euclidean,
     transport_value,
 )
+from betaot import solver
 from betaot.solver import (
     _BLOCK_ROWS,
     CANDIDATE_SHARE_MAX,
@@ -40,6 +48,7 @@ from betaot.solver import (
     _certified_cost,
     PlanEntries,
     _dense_plan,
+    _restart,
 )
 
 
@@ -215,30 +224,42 @@ class TestSinkhorn:
         assert plan.col_residual_l1 <= 1e-9
 
     def test_kernel_underflow_raises(self):
+        # The first row of exp(-cost/lam) underflows, and the spread of
+        # cost/lam overflows the floats, so no offset can rescue it.
         gamma = np.array([[800.0, 800.5], [0.0, 0.5]])
-        with pytest.raises(NumericalUnderflowError):
-            sinkhorn_solve(gamma, 1.0)
+        with pytest.raises(NumericalUnderflowError, match="spread"):
+            sinkhorn_solve(gamma, 1e-306)
 
     def test_log_space_handles_underflowing_costs(self):
+        # exp(-800) underflows: the cost once needed the log-space loop;
+        # the offset kernel solves it as that loop does.
         gamma = np.array([[800.0, 800.5], [0.0, 0.5]])
-        plan = sinkhorn_solve(gamma, 1.0, log_space=True)
-        assert np.isfinite(plan.value)
+        plan = sinkhorn_solve(gamma, 1.0)
         assert plan.converged
         assert plan.row_residual_l1 <= 1e-9
+        pi, _, converged = dense_sinkhorn_log(gamma, 1.0, 1e-9, 10000)
+        assert converged
+        assert plan.value == pytest.approx(transport_value(pi, gamma), rel=1e-12)
+        np.testing.assert_allclose(plan.pi, pi, rtol=0, atol=1e-12)
 
     def test_log_space_overflow_raises(self):
-        # cost/lam overflows the floats, so no iteration gives a finite plan.
+        # cost/lam overflows the floats, so no offset gives a finite plan.
         rng = np.random.default_rng(0)
         gamma = sq_euclidean_cost(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)) + 1.0)
         with pytest.raises(NumericalUnderflowError):
-            sinkhorn_solve(gamma, 1e-308, log_space=True)
+            sinkhorn_solve(gamma, 1e-308)
 
     def test_log_space_matches_kernel_space(self):
         rng = np.random.default_rng(62)
         gamma = rng.uniform(0.0, 2.0, size=(5, 6))
         a = sinkhorn_solve(gamma, 0.7)
-        b = sinkhorn_solve(gamma, 0.7, log_space=True)
-        assert a.value == pytest.approx(b.value, rel=1e-8)
+        pi, _, _ = dense_sinkhorn_log(gamma, 0.7, 1e-9, 10000)
+        assert a.value == pytest.approx(transport_value(pi, gamma), rel=1e-8)
+
+    def test_rejects_iteration_cap_below_one(self):
+        for max_iter in (0, -3):
+            with pytest.raises(ValueError, match="max_iter must be >= 1"):
+                sinkhorn_solve(np.zeros((2, 2)), 1.0, max_iter=max_iter)
 
     def test_small_lambda_approaches_exact_value(self):
         rng = np.random.default_rng(63)
@@ -286,6 +307,11 @@ class TestNasaSolve:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalUnderflowError):
             nasa_solve(gamma, 1.0, shannon())
         assert sinkhorn_solve(gamma, 1.0).converged
+
+    def test_rejects_iteration_cap_below_one(self):
+        for max_iter in (0, -3):
+            with pytest.raises(ValueError, match="max_iter must be >= 1"):
+                nasa_solve(np.zeros((2, 2)), 1.0, squared_euclidean(), max_iter=max_iter)
 
     def test_quadratic_generator_reaches_feasibility(self):
         rng = np.random.default_rng(72)
@@ -769,3 +795,112 @@ class TestSinkhornMatchesDenseLoop:
         assert plan.iterations_run == iterations
         assert plan.converged == converged
         assert np.array_equal(plan.pi, pi)
+
+
+@st.composite
+def underflowing_sinkhorn_instances(draw):
+    """Random (cost, lam) whose plain kernel exp(-cost/lam) has an all-zero line.
+
+    A cost of at most 5 plus constants on whole rows and columns: the
+    constants leave the plan unchanged, and at least one of them, at
+    746*lam or more, makes its line of the plain kernel underflow.
+    """
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    gamma = rng.uniform(0.0, draw(st.floats(0.0, 5.0)), size=(m, n))
+    rows = rng.choice([0.0, 1.0], m) * rng.uniform(746.0, 2000.0, m) * lam
+    cols = rng.choice([0.0, 1.0], n) * rng.uniform(746.0, 2000.0, n) * lam
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = 746.0 * lam
+    else:
+        cols[draw(st.integers(0, n - 1))] = 746.0 * lam
+    return gamma + rows[:, None] + cols[None, :], lam
+
+
+class TestOffsetKernel:
+    """The offset kernel against the log-space loop, on costs the plain kernel cannot take.
+
+    At tol 1e-12 the two agree to 1e-9 in value and 1e-10 in every plan
+    entry (measured: at most 1.1e-12 and 6.9e-13 over 1,479 instances of
+    the strategy that both converged within 2,000 iterations).  Their
+    iteration counts move because the offset changes the starting
+    scaling: equal in 57% of those instances, one fewer in 33%, and
+    between 12 fewer and 17 more in all.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(underflowing_sinkhorn_instances())
+    def test_matches_log_space_reference(self, instance):
+        gamma, lam = instance
+        kernel = np.exp(-gamma / lam)
+        assert np.any(kernel.sum(axis=1) == 0.0) or np.any(kernel.sum(axis=0) == 0.0)
+        plan = sinkhorn_solve(gamma, lam, tol=1e-12, max_iter=2000)
+        pi, iterations, converged = dense_sinkhorn_log(gamma, lam, 1e-12, 2000)
+        # Rarely neither loop reaches 1e-12 within the cap.
+        assume(plan.converged and converged)
+        event(f"iterations moved by {plan.iterations_run - iterations:+d}")
+        assert plan.value == pytest.approx(transport_value(pi, gamma), rel=1e-9)
+        np.testing.assert_allclose(plan.pi, pi, rtol=0, atol=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.floats(-300.0, 300.0),
+        st.floats(0.0, 8.0),
+        st.floats(-300.0, 300.0),
+        st.booleans(),
+    )
+    def test_every_line_has_an_exact_one(self, m, n, seed, scale, spread, lam_exp, ties):
+        # Entries of many magnitudes, where a sum rounds unless formed as in the proof.
+        rng = np.random.default_rng(seed)
+        gamma = rng.uniform(-1.0, 1.0, size=(m, n))
+        if ties:
+            gamma = np.round(gamma, 1)
+        gamma *= 10.0 ** (scale + rng.uniform(-spread, spread, size=(m, n)))
+        lam = 10.0**lam_exp
+        # A last column at 800*lam above every |cost|: its line of
+        # exp(-cost/lam) is all zero, so the first update fails and the
+        # offset is taken.  (A constant last row would make every g_j 0.)
+        far = float(np.abs(gamma).max()) + 800.0 * lam
+        gamma = np.hstack([gamma, np.full((m, 1), far)])
+        assume(math.isfinite((far - float(gamma.min())) / lam))
+        kernels = []
+
+        def recorded(*args):
+            u_v_kv = _restart(*args)
+            kernels.append((args[-1].copy(), u_v_kv[2]))
+            return u_v_kv
+
+        with mock.patch.object(solver, "_restart", recorded):
+            sinkhorn_solve(gamma, lam, max_iter=1)
+        kernel, kv = kernels[1]
+        assert np.all(kernel.max(axis=1) == 1.0)
+        assert np.all(kernel.max(axis=0) == 1.0)
+        assert np.all(kv >= 1.0)
+
+    @pytest.mark.parametrize(
+        "gamma, lam",
+        [
+            # The offset is taken at the start and the scalings are absorbed once.
+            ([[3.0, 126.0, 48.0], [253.0, 234.0, 250.0]], 0.1),
+            # The plain kernel has no zero line but its scalings overflow
+            # after about 1,700 iterations; the offset loop then absorbs
+            # four times and takes 3,115 iterations against 1,363.
+            ([[0.0, 120.0, 45.0], [20.0, 0.0, 0.0]], 0.05),
+        ],
+    )
+    def test_absorbs_and_matches_log_space_reference(self, gamma, lam):
+        gamma = np.array(gamma)
+        with mock.patch.object(solver, "_restart", side_effect=_restart) as builds:
+            plan = sinkhorn_solve(gamma, lam, tol=1e-12, max_iter=5000)
+        # The plain kernel, the offset one and at least one absorption.
+        assert builds.call_count >= 3
+        assert plan.converged
+        pi, _, converged = dense_sinkhorn_log(gamma, lam, 1e-12, 5000)
+        assert converged
+        assert plan.value == pytest.approx(transport_value(pi, gamma), rel=1e-9)
+        np.testing.assert_allclose(plan.pi, pi, rtol=0, atol=1e-10)
