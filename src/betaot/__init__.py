@@ -5,9 +5,11 @@ a beta power regularizer whose conjugate domain is bounded below; run for
 a bounded number of truncated Newton steps, the solver provably sends
 zero mass to any target point whose costs to every source point reach a
 tolerance z.  That exact-zero structure doubles as an outlier detector.
-The classical entropy-regularized scaling solver, a generic alternating
-projection solver for cofinite regularizers, and an exact small-instance
-reference are included for comparison and validation.
+The classical entropy-regularized scaling solver, an alternating solver
+of exact projections for the cofinite regularizers (Shannon, where it is
+that scaling solver, and squared Euclidean, a sorted shift per line), and
+an exact small-instance reference are included for comparison and
+validation.
 """
 
 from .costs import (

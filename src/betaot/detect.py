@@ -7,7 +7,7 @@ point at cost >= z from all sources, so the rule needs no threshold
 tuning; ``eps_zero`` exists only as floating-point hygiene for user data.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +19,11 @@ BASELINE = "baseline"
 
 @dataclass
 class OutlierReport:
-    """Flagged column indices plus the parameters that produced them."""
+    """Flagged column indices, the number of columns and the rule that flagged them."""
 
     flagged: list[int]
     n: int
     method: str
-    params: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -35,13 +34,12 @@ class DetectionMetrics:
     inlier_specificity: float
 
 
-def detect_outliers(plan, eps_zero: float = 1e-12, params: dict | None = None) -> OutlierReport:
+def detect_outliers(plan, eps_zero: float = 1e-12) -> OutlierReport:
     """Flag every column whose largest plan entry is at most ``eps_zero``.
 
     The caller is responsible for having produced the plan within a valid
-    iteration budget; the parameters it used can be recorded via
-    ``params``.  A degenerate all-zero plan flags every column (surfaced,
-    not hidden).
+    iteration budget.  A degenerate all-zero plan flags every column
+    (surfaced, not hidden).
     """
     pi = _plan_data(plan)
     if isinstance(pi, PlanEntries):
@@ -51,18 +49,10 @@ def detect_outliers(plan, eps_zero: float = 1e-12, params: dict | None = None) -
     else:
         col_max = pi.max(axis=0)
     flagged = np.flatnonzero(col_max <= eps_zero)
-    report_params = {"eps_zero": eps_zero}
-    if params:
-        report_params.update(params)
-    return OutlierReport(
-        flagged=[int(j) for j in flagged],
-        n=pi.shape[1],
-        method=ZERO_COLUMN,
-        params=report_params,
-    )
+    return OutlierReport(flagged=[int(j) for j in flagged], n=pi.shape[1], method=ZERO_COLUMN)
 
 
-def baseline_detect(cost, z: float, params: dict | None = None) -> OutlierReport:
+def baseline_detect(cost, z: float) -> OutlierReport:
     """Flag every column whose minimum cost strictly exceeds ``z``.
 
     Strict inequality: a point exactly at distance z is treated as an
@@ -72,15 +62,7 @@ def baseline_detect(cost, z: float, params: dict | None = None) -> OutlierReport
     if z < 0.0:
         raise ValueError(f"z must be nonnegative, got {z}")
     flagged = np.flatnonzero(gamma.min(axis=0) > z)
-    report_params = {"z": z}
-    if params:
-        report_params.update(params)
-    return OutlierReport(
-        flagged=[int(j) for j in flagged],
-        n=gamma.shape[1],
-        method=BASELINE,
-        params=report_params,
-    )
+    return OutlierReport(flagged=[int(j) for j in flagged], n=gamma.shape[1], method=BASELINE)
 
 
 def detection_metrics(report: OutlierReport, truth) -> DetectionMetrics:

@@ -30,7 +30,7 @@ class UnsupportedGeneratorError(BetaOTError, ValueError):
 
 
 class NumericalUnderflowError(BetaOTError, ArithmeticError):
-    """A solve left the floats: ``cost/lam`` or a scaling overflowed, or a multiplier did."""
+    """A solve left the floats: the spread of ``cost/lam`` or a scaling overflowed."""
 
 
 class SizeError(BetaOTError, ValueError):

@@ -23,10 +23,9 @@ public, because the tests' dense reference loop is built from them and
 the benchmark's per-layer spans (``perfbench/spans.py``) find them by
 module and name, so removing or renaming one turns its metric absent.
 
-Operations read their inputs and return fresh arrays; only
-:func:`newton_quotient` writes, into the ``fallback`` it returns.  Row
-subproblems are independent of one another, as are column
-subproblems, so vectorizing over rows/columns is safe.
+Operations read their inputs and return fresh arrays.  Row subproblems
+are independent of one another, as are column subproblems, so
+vectorizing over rows/columns is safe.
 """
 
 import numpy as np
@@ -53,16 +52,6 @@ def clamp_dual(theta_tilde, pot: Potential):
 def _quotient(ps_sum, pss_sum, size: int, fallback):
     num = ps_sum - 1.0 / size
     return np.divide(num, pss_sum, out=fallback, where=pss_sum >= EPS_DENOMINATOR)
-
-
-def newton_quotient(ps, pss, axis: int, size: int, fallback):
-    """``(sum psi' - 1/size) / sum psi''`` along ``axis``, else ``fallback``.
-
-    Where the summed curvature is below :data:`EPS_DENOMINATOR` the entry
-    of ``fallback`` is kept; ``fallback`` is overwritten and returned.
-    The sums are numpy's own: sequential ones made ``solver.nasa_solve`` 1.5x slower.
-    """
-    return _quotient(ps.sum(axis=axis), pss.sum(axis=axis), size, fallback)
 
 
 def _truncation_bound(theta_star, pot: Potential, axis: int, size: int):

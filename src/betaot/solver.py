@@ -1,6 +1,6 @@
 """End-to-end transport solvers and the robustness iteration budget.
 
-Three solvers share the dual-coordinate machinery:
+Three solvers work in dual coordinates:
 
 - :func:`robust_solve` runs the truncated single-Newton-step alternating
   scaling loop for the beta potential.  Run for at most
@@ -19,10 +19,10 @@ Three solvers share the dual-coordinate machinery:
   bit-identical plans, values and residuals.
 - :func:`sinkhorn_solve` is the classical scaling method for the Shannon
   entropy, on a kernel whose offsets keep it from underflowing.
-- :func:`nasa_solve` is the generic alternating-projection loop with inner
-  Newton iterations run to convergence; it requires a cofinite generator
-  (Shannon or squared Euclidean) and exists as the reference the truncated
-  beta loop deviates from.
+- :func:`nasa_solve` is the alternating-projection loop for a cofinite
+  generator, every half-step an exact projection: for Shannon it is
+  :func:`sinkhorn_solve`, for squared Euclidean a sorted simplex shift
+  per line.  It is the reference the truncated beta loop deviates from.
 
 All solvers return a :class:`TransportPlan` carrying the plan, its cost
 value, L1 marginal residuals, and the iteration count.  A sparse plan
@@ -50,12 +50,9 @@ from .errors import (
     NumericalUnderflowError,
     UnsupportedGeneratorError,
 )
-from .potentials import Potential, beta_potential, phi_prime, psi_pair, psi_prime
+from .potentials import SHANNON, Potential, beta_potential, phi_prime, psi_prime
 from .potentials import _psi_pair_inplace
-from .projections import clamp_dual, newton_quotient, truncated_step
-
-NASA_INNER_TOL = 1e-12
-NASA_INNER_CAP = 100
+from .projections import truncated_step
 
 
 @dataclass
@@ -136,6 +133,12 @@ def _validate_cost(cost) -> np.ndarray:
 def _check_lambda(lam: float) -> None:
     if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
+
+
+def _check_spread(gamma, lam: float) -> None:
+    """Raise :class:`NumericalUnderflowError` when ``(max C - min C)/lam`` overflows."""
+    if not math.isfinite((float(gamma.max()) - float(gamma.min())) / lam):
+        raise NumericalUnderflowError("the spread of cost/lam overflows the floats")
 
 
 def iteration_budget(z: float, cfg: SolverConfig, m: int, n: int) -> IterationBudget:
@@ -457,8 +460,7 @@ def sinkhorn_solve(
             if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
                 if offset:
                     raise NumericalUnderflowError("scalings overflowed on the offset kernel")
-                if not math.isfinite((float(gamma.max()) - float(gamma.min())) / lam):
-                    raise NumericalUnderflowError("the spread of cost/lam overflows the floats")
+                _check_spread(gamma, lam)
                 f = gamma.min(axis=1, keepdims=True)
                 g = np.subtract(gamma, f, out=kernel).min(axis=0)
                 offset = True
@@ -487,26 +489,6 @@ def _restart(gamma, f, g, lam, kernel):
     return np.ones(kernel.shape[0]), v, kernel @ v
 
 
-def _inner_newton(theta_star, pot, axis, size):
-    """Newton iterations to convergence for the multipliers along ``axis``.
-
-    ``axis=1`` gives the row multipliers (target 1/m), ``axis=0`` the
-    column ones (target 1/n).
-    """
-    mult = np.zeros(theta_star.shape[1 - axis])
-    for _ in range(NASA_INNER_CAP):
-        ps, pss = psi_pair(theta_star - np.expand_dims(mult, axis), pot)
-        step = newton_quotient(ps, pss, axis, size, np.zeros_like(mult))
-        mult += step
-        if not np.all(np.isfinite(mult)):
-            raise NumericalUnderflowError(
-                "a projection multiplier overflowed; increase lam or rescale the cost"
-            )
-        if np.max(np.abs(step)) <= NASA_INNER_TOL:
-            break
-    return mult
-
-
 def nasa_solve(
     cost,
     lam: float,
@@ -514,45 +496,68 @@ def nasa_solve(
     tol: float = 1e-9,
     max_iter: int = 10000,
 ) -> TransportPlan:
-    """Generic alternating-projection scaling for cofinite generators.
+    """Alternating exact projections for the cofinite generators.
 
-    Cycles (nonnegativity clamp, row projection, clamp, column projection,
-    clamp) with the row/column multiplier found by Newton iterations run
-    to convergence, until the plan's marginal residual reaches ``tol`` or
-    ``max_iter`` cycles elapse.  The squared Euclidean path clamps at
-    ``phi_prime(0) = -1``; the Shannon path never clamps.
+    Each half-step projects exactly onto the row-sum set (rows sum to
+    1/m), then the column-sum set (1/n), until the plan's marginal
+    residual reaches ``tol`` or ``max_iter`` cycles elapse.  For Shannon
+    that projection is Sinkhorn's scaling, so the result is
+    :func:`sinkhorn_solve`'s.  For squared Euclidean the plan is
+    ``max(a, 0)`` for ``a = 1 - C/lam - tau_i - sigma_j``, and a half-step
+    subtracts per line the shift ``t`` with ``sum max(a - t, 0) = 1/m``
+    (or ``1/n``), found by a sort (:func:`_line_shift`); the loop keeps
+    ``a``, which holds the multipliers, and never clamps it.  A feasible
+    plan of this form is the unique optimum (Blondel, Seguy & Rolet,
+    AISTATS 2018).  ``a`` starts from the cost less its row minima, a
+    constant per row that ``tau`` absorbs, so every row starts with a 1.
 
     Rejects the beta potential: its conjugate domain is bounded below, so
     multi-step Newton updates can leave it (the reason the truncated
     single-step loop exists).  Raises :class:`NumericalUnderflowError`
-    when a multiplier overflows, as Shannon's can on costs far above ``lam``.
+    when the spread of ``cost/lam`` overflows.
     """
     if not pot.is_cofinite:
         raise UnsupportedGeneratorError(
             "nasa_solve requires a cofinite generator (shannon or "
             "sq_euclidean); use robust_solve for the beta potential"
         )
+    if pot.kind == SHANNON:
+        return sinkhorn_solve(cost, lam, tol, max_iter)
     gamma = _validate_cost(cost)
     _check_lambda(lam)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_spread(gamma, lam)
     m, n = gamma.shape
 
-    theta_tilde = -gamma / lam
-    theta_star = clamp_dual(theta_tilde, pot)
+    a = 1.0 - (gamma - gamma.min(axis=1, keepdims=True)) / lam
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        for axis, size in ((1, m), (0, n)):
-            mult = _inner_newton(theta_star, pot, axis, size)
-            theta_tilde = theta_tilde - np.expand_dims(mult, axis)
-            theta_star = clamp_dual(theta_tilde, pot)
-
-        if _stop_residual(psi_prime(theta_star, pot), m, n) <= tol:
+        a -= _line_shift(a, 1.0 / m)[:, None]
+        a -= _line_shift(a.T, 1.0 / n)
+        if _stop_residual(np.maximum(a, 0.0), m, n) <= tol:
             converged = True
             break
-    pi = psi_prime(theta_star, pot)
+    pi = np.maximum(a, 0.0, out=a)
     return _plan_result(pi, transport_value(pi, gamma), iterations, converged)
+
+
+def _line_shift(a, total):
+    """Per row of ``a``, the shift ``t`` with ``sum_j max(a_j - t, 0) = total``.
+
+    With the row sorted in descending order, ``t`` is ``(sum of the k
+    largest - total)/k`` for the last k whose k-th entry lies above that
+    value (Condat, Math. Program. 2016).  Those k form a leading run, so
+    k is the run's length, and at least 1 where ``max - total`` rounds to
+    the maximum itself.
+    """
+    top = np.sort(a, axis=1)[:, ::-1]
+    shifts = np.cumsum(top, axis=1)
+    shifts -= total
+    shifts /= np.arange(1, a.shape[1] + 1)
+    run = np.logical_and.accumulate(top > shifts, axis=1).sum(axis=1)
+    return shifts[np.arange(a.shape[0]), np.maximum(run, 1) - 1]
 
 
 def _stop_residual(pi, m, n) -> float:

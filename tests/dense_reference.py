@@ -1,4 +1,5 @@
-"""Dense references for the beta conjugate, the robust loop and Sinkhorn.
+"""Dense references for the beta conjugate, the robust loop, Sinkhorn and
+the squared-Euclidean line shift.
 
 The package raises the conjugate power only on dual entries off the
 domain boundary, keeps one implicitly clamped dual, and on mostly
@@ -11,7 +12,8 @@ another, as the package's do (:func:`sequential_sums`).  The
 Sinkhorn reference forms the plan every iteration to test convergence,
 where the package tests the marginals of the scaling vectors; its
 log-space form evaluates each update with log-sum-exp, the reference for
-costs whose plain kernel underflows.
+costs whose plain kernel underflows.  The shift that the squared-Euclidean
+NASA loop subtracts from a line comes here from bisection, not a sort.
 """
 
 import math
@@ -149,3 +151,20 @@ def dense_sinkhorn_log(gamma, lam, tol, max_iter):
             break
     pi = np.exp((f[:, None] + g[None, :] - gamma) / lam)
     return pi, iterations, converged
+
+
+def bisect_shift(line, total):
+    """The ``t`` with ``sum(max(line - t, 0)) = total``, by bisection.
+
+    The sum falls as ``t`` rises, from at least ``total`` at ``max(line)
+    - total`` to 0 at ``max(line)``; the bracket halves until its
+    midpoint rounds to one of its ends.
+    """
+    line = np.asarray(line, dtype=float)
+    lo, hi = line.max() - total, line.max()
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if np.maximum(line - mid, 0.0).sum() > total:
+            lo = mid
+        else:
+            hi = mid
+    return mid

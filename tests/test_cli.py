@@ -215,6 +215,11 @@ class TestDistance:
         report = load_json_report(out)
         assert report["robustness_certified"] is False
         assert report["T"] == 3
+        if budget_args == ("--beta", 400):
+            # The clamp bound 1/(1-beta) lies just below 0: three iterations
+            # leave the plan all zeros, which only the residuals reveal.
+            assert report["value"] == 0.0
+            assert report["row_residual_l1"] == report["col_residual_l1"] == 1.0
 
     @pytest.mark.parametrize(
         "args",
@@ -317,6 +322,18 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "--out" in err
         assert "Traceback" not in err
+
+    def test_nasa_overflowing_spread_exits_four(self, tmp_path, capsys):
+        # The spread of cost/lambda (1e310) overflows the floats, as for Sinkhorn.
+        cost = tmp_path / "c.csv"
+        cost.write_text("0,1e300\n5,0\n")
+        plan_path = tmp_path / "plan.csv"
+        assert run_cli("solve", "--cost", cost, "--mode", "nasa-euclidean",
+                       "--lambda", "1e-10", "--out", plan_path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "spread" in err
+        assert not plan_path.exists()
 
     def test_exact_mode_plan(self, tmp_path):
         cost = tmp_path / "c.csv"

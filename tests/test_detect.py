@@ -38,11 +38,6 @@ class TestZeroColumnRule:
         assert detect_outliers(plan, eps_zero=1e-12).flagged == [0]
         assert detect_outliers(plan, eps_zero=0.0).flagged == []
 
-    def test_records_params(self):
-        report = detect_outliers(np.zeros((1, 1)), eps_zero=0.0, params={"z": 3.0})
-        assert report.params["z"] == 3.0
-        assert report.params["eps_zero"] == 0.0
-
 
 class TestBaseline:
     def test_flags_far_column(self):

@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from dense_reference import (
+    bisect_shift,
     dense_robust_duals,
     dense_robust_solve,
     dense_sinkhorn,
@@ -48,6 +50,7 @@ from betaot.solver import (
     _certified_cost,
     PlanEntries,
     _dense_plan,
+    _line_shift,
     _restart,
 )
 
@@ -56,6 +59,13 @@ def _candidates(gamma, level):
     """Flat indices of the candidate loop's entries, or None when the dense loop runs."""
     found = _candidate_entries(gamma, level)
     return None if found is None else found[0]
+
+
+def _two_clouds(size):
+    """Squared distances between Gaussian clouds at means 0 and 1 in the plane (seed 1)."""
+    rng = np.random.default_rng(1)
+    x = rng.normal(0.0, 1.0, (size, 2))
+    return sq_euclidean_cost(x, rng.normal(1.0, 1.0, (size, 2)))
 
 
 def _bits(*values):
@@ -299,14 +309,30 @@ class TestNasaSolve:
             b = sinkhorn_solve(gamma, lam)
             assert abs(a.value - b.value) <= 1e-6
 
-    def test_overflowing_multiplier_raises(self):
-        # Far from the root each inner Shannon step moves a multiplier by
-        # about 1: the second outer iteration leaves every row multiplier
-        # at the inner cap, and the third overflows.
-        gamma = np.random.default_rng(0).uniform(0.0, 16.0, size=(6, 34))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalUnderflowError):
-            nasa_solve(gamma, 1.0, shannon())
-        assert sinkhorn_solve(gamma, 1.0).converged
+    @pytest.mark.parametrize(
+        "shape, high, lam",
+        [((6, 34), 16.0, 1.0), ((1, 27), 4.0, 0.5), ((22, 1), 16.0, 0.5)],
+        ids=["6x34", "1x27", "22x1"],
+    )
+    def test_shannon_is_sinkhorn_on_costs_far_above_lambda(self, shape, high, lam):
+        # Costs far above lambda, where Newton steps on the Shannon
+        # multipliers leave the floats; the exact projection is Sinkhorn's.
+        gamma = np.random.default_rng(0).uniform(0.0, high, size=shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            plan = nasa_solve(gamma, lam, shannon())
+        reference = sinkhorn_solve(gamma, lam)
+        assert plan.converged
+        assert np.array_equal(plan.pi, reference.pi)
+        assert plan.value == reference.value
+        assert plan.iterations_run == reference.iterations_run
+
+    def test_overflowing_spread_raises_without_warning(self):
+        # The spread of cost/lam (1e310) overflows the floats, as for Sinkhorn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalUnderflowError, match="spread"):
+                nasa_solve(np.array([[0.0, 1e300], [5.0, 0.0]]), 1e-10, squared_euclidean())
 
     def test_rejects_iteration_cap_below_one(self):
         for max_iter in (0, -3):
@@ -320,6 +346,67 @@ class TestNasaSolve:
         assert plan.converged
         assert plan.row_residual_l1 + plan.col_residual_l1 <= 1e-9
         assert np.all(plan.pi >= -1e-15)
+
+    def test_two_clouds_converge_within_the_default_cap(self):
+        # Most entries clamp here, where clamping and then projecting onto
+        # the affine sets converges very slowly.
+        plan = nasa_solve(_two_clouds(30), 2.0, squared_euclidean())
+        assert plan.converged
+        assert plan.iterations_run < 10000
+        assert np.count_nonzero(plan.pi) < plan.pi.size / 2
+
+    @pytest.mark.parametrize("case", ["two clouds", "uniform"])
+    def test_plan_satisfies_the_optimality_conditions(self, case):
+        # pi = max(1 - C/lam - tau_i - sigma_j, 0) and feasible is the
+        # unique optimum; tau and sigma add up the shifts of the loop,
+        # which starts from the cost less its row minima.
+        if case == "two clouds":
+            gamma, lam = _two_clouds(30), 2.0
+        else:
+            gamma, lam = np.random.default_rng(73).uniform(0.0, 3.0, size=(9, 14)), 0.5
+        m, n = gamma.shape
+        shifts = []
+
+        def record(a, total):
+            shifts.append(_line_shift(a, total))
+            return shifts[-1]
+
+        tol = 1e-9
+        with mock.patch.object(solver, "_line_shift", record):
+            plan = nasa_solve(gamma, lam, squared_euclidean(), tol=tol)
+        assert plan.converged
+        assert plan.row_residual_l1 + plan.col_residual_l1 <= tol
+        tau = -gamma.min(axis=1) / lam + np.sum(shifts[0::2], axis=0)
+        sigma = np.sum(shifts[1::2], axis=0)
+        assert tau.shape == (m,) and sigma.shape == (n,)
+        kkt = np.maximum(1.0 - gamma / lam - tau[:, None] - sigma[None, :], 0.0)
+        np.testing.assert_allclose(plan.pi, kkt, rtol=0, atol=1e-12)
+
+
+@st.composite
+def shift_instances(draw):
+    """Lines of equal length with ties, all-equal lines and length 1, and a total."""
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 10))
+    entry = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 1.0]), st.floats(-10.0, 10.0))
+    lines = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(rows)]
+    if draw(st.booleans()):
+        lines[0] = [lines[0][0]] * n
+    total = 10.0 ** draw(st.floats(-6.0, 0.0))
+    return np.array(lines), total
+
+
+class TestLineShift:
+    @given(shift_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bisection(self, instance):
+        a, total = instance
+        shifts = _line_shift(a, total)
+        eps = np.finfo(float).eps
+        for line, shift in zip(a, shifts):
+            event(f"length {line.size}")
+            bound = 4 * line.size * eps * (np.abs(line).max() + total)
+            assert abs(shift - bisect_shift(line, total)) <= bound
+            assert abs(np.maximum(line - shift, 0.0).sum() - total) <= line.size * bound
 
 
 class TestDiagnostics:
