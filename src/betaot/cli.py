@@ -147,6 +147,9 @@ def _run_robust(gamma, z, args, fields):
         certified = True
     cfg.iterations = iterations
     plan = robust_solve(gamma_solve, cfg)
+    # The entries of a sparse plan, never the dense matrix they stand for.
+    if not np.any(plan.pi if plan.entries is None else plan.entries.values):
+        sys.stderr.write("warning: the robust plan is all zeros; it moves no mass\n")
     fields.update(
         beta=args.beta,
         **{"lambda": args.lam},

@@ -135,10 +135,21 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be positive, got {lam}")
 
 
-def _check_spread(gamma, lam: float) -> None:
-    """Raise :class:`NumericalUnderflowError` when ``(max C - min C)/lam`` overflows."""
+def _scaling_cost(cost, lam: float, tol: float, max_iter: int) -> np.ndarray:
+    """The validated cost of a scaling solve, once its arguments are checked.
+
+    Raises :class:`NumericalUnderflowError` when ``(max C - min C)/lam``
+    overflows.
+    """
+    gamma = _validate_cost(cost)
+    _check_lambda(lam)
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not math.isfinite((float(gamma.max()) - float(gamma.min())) / lam):
         raise NumericalUnderflowError("the spread of cost/lam overflows the floats")
+    return gamma
 
 
 def iteration_budget(z: float, cfg: SolverConfig, m: int, n: int) -> IterationBudget:
@@ -412,45 +423,40 @@ def sinkhorn_solve(
     """Classical scaling iterations for the Shannon entropy, on an offset kernel.
 
     Uniform marginals 1/m and 1/n.  Stops when the summed row+column L1
-    residual drops to ``tol`` or after ``max_iter`` (at least 1)
-    completed iterations; residuals are reported either way.
+    residual drops to ``tol`` (at least 0) or after ``max_iter`` (at least
+    1) completed iterations; residuals are reported either way.
 
     The plan is ``diag(u) K diag(v)`` for ``K = exp((f_i + g_j - C_ij)/lam)``
-    in one buffer (Schmitzer, SIAM J. Sci. Comput. 2019).  The offsets
-    start at 0, where ``K`` is ``exp(-C/lam)`` bit for bit, as ``0 - C``
-    and ``-C + 0`` are ``-C``.  The first non-finite update (at once, if a
-    line of that kernel underflows) sets ``f`` to the row minima of ``C``
-    and ``g`` to the column minima of ``C - f``, and the iteration is
-    redone from ``u = v = 1``.  From then on a scaling outside
-    ``[1e-50, 1e50]`` is absorbed (``f += lam*log(u)``, ``g += lam*log(v)``,
-    ``u = v = 1``) long before a line of ``K`` could underflow: after an
-    overflow, the last finite scalings may already hold zeros.
+    in one buffer (Schmitzer, SIAM J. Sci. Comput. 2019).  ``f`` starts at
+    the row minima of ``C`` and ``g`` at the column minima of ``C - f``,
+    with ``u = v = 1``.  A scaling outside ``[1e-50, 1e50]`` is absorbed
+    (``f += lam*log(u)``, ``g += lam*log(v)``, ``u = v = 1``) long before
+    a line of ``K`` could underflow.
 
-    With the exponent formed as ``(f_i - C_ij) + g_j``, the offset ``K``
+    With the exponent formed as ``(f_i - C_ij) + g_j``, the first ``K``
     has an entry exactly 1 in every line and none above 1.  Rounding is
     monotone, so ``fl(C_ij - f_i) >= 0`` and ``g_j <= fl(C_ij - f_i) =
     -fl(f_i - C_ij)``.  At a row's minimum ``f_i - C_ij = 0``, so
     ``g_j = 0``; at a column's minimum ``fl(f_i - C_ij) = -g_j``.  The
-    redone update thus gives ``1/(mn) <= u <= 1/m`` and ``1/n <= v <= m``.
+    first update thus gives ``1/(mn) <= u <= 1/m`` and ``1/n <= v <= m``.
 
     Raises :class:`NumericalUnderflowError` when the spread of ``cost/lam``
-    overflows as the offsets are taken, or an update after that is not finite.
+    overflows the floats, or an update is not finite.
     """
-    gamma = _validate_cost(cost)
-    _check_lambda(lam)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    gamma = _scaling_cost(cost, lam, tol, max_iter)
     m, n = gamma.shape
     r = 1.0 / m
     c = 1.0 / n
     kernel = np.empty((m, n))
+    f = gamma.min(axis=1, keepdims=True)
+    g = np.subtract(gamma, f, out=kernel).min(axis=0)
     iterations = 0
-    offset = converged = False
-    # Exponents below the floats give zeros, zero denominators the scalings handled below.
+    converged = False
+    # Exponents below the floats give zeros; a non-finite update raises below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        u, v, kv = _restart(gamma, 0.0, 0.0, lam, kernel)
+        u, v, kv = _restart(gamma, f, g, lam, kernel)
         while iterations < max_iter:
-            if offset and max(u.max(), v.max(), 1 / u.min(), 1 / v.min()) > 1e50:
+            if max(u.max(), v.max(), 1 / u.min(), 1 / v.min()) > 1e50:
                 f += lam * np.log(u)[:, None]
                 g += lam * np.log(v)
                 u, v, kv = _restart(gamma, f, g, lam, kernel)
@@ -458,14 +464,7 @@ def sinkhorn_solve(
             ktu = kernel.T @ u
             v = c / ktu
             if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-                if offset:
-                    raise NumericalUnderflowError("scalings overflowed on the offset kernel")
-                _check_spread(gamma, lam)
-                f = gamma.min(axis=1, keepdims=True)
-                g = np.subtract(gamma, f, out=kernel).min(axis=0)
-                offset = True
-                u, v, kv = _restart(gamma, f, g, lam, kernel)
-                continue
+                raise NumericalUnderflowError("scalings overflowed on the offset kernel")
             iterations += 1
             # Marginals of diag(u) K diag(v) without forming it; K v is the
             # next iteration's denominator.
@@ -523,11 +522,7 @@ def nasa_solve(
         )
     if pot.kind == SHANNON:
         return sinkhorn_solve(cost, lam, tol, max_iter)
-    gamma = _validate_cost(cost)
-    _check_lambda(lam)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    _check_spread(gamma, lam)
+    gamma = _scaling_cost(cost, lam, tol, max_iter)
     m, n = gamma.shape
 
     a = 1.0 - (gamma - gamma.min(axis=1, keepdims=True)) / lam

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dense_reference import dense_sinkhorn_log
 
 from betaot import (
     SolverConfig,
+    TransportPlan,
     auto_scale,
     detect_outliers,
     estimate_z,
@@ -202,7 +204,8 @@ class TestDistance:
         "budget_args",
         [("--beta", 400), ("--z", 1.0), ("--lambda", "1e-300", "--z", "1e10"), ("--z", "inf")],
     )
-    def test_explicit_iterations_without_a_budget_run_uncertified(self, tmp_path, budget_args):
+    def test_explicit_iterations_without_a_budget_run_uncertified(self, tmp_path, capsys,
+                                                                   budget_args):
         # With --T, any reason iteration_budget cannot give a bound (here a
         # denominator underflowing to 0, an infeasible z, a bound or a z
         # that is not finite) leaves the run uncertified instead of failing.
@@ -215,11 +218,17 @@ class TestDistance:
         report = load_json_report(out)
         assert report["robustness_certified"] is False
         assert report["T"] == 3
-        if budget_args == ("--beta", 400):
-            # The clamp bound 1/(1-beta) lies just below 0: three iterations
-            # leave the plan all zeros, which only the residuals reveal.
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        if budget_args[:2] in (("--beta", 400), ("--lambda", "1e-300")):
+            # The clamp bound 1/(1-beta) lies just below 0, or every dual
+            # entry -cost/lambda far below it: three iterations leave the
+            # plan all zeros, which one warning line names.
             assert report["value"] == 0.0
             assert report["row_residual_l1"] == report["col_residual_l1"] == 1.0
+            assert warnings == ["warning: the robust plan is all zeros; it moves no mass"]
+        else:
+            assert warnings == []
 
     @pytest.mark.parametrize(
         "args",
@@ -228,6 +237,8 @@ class TestDistance:
             ("--lambda", 0, "--T", 3),
             ("--mode", "sinkhorn", "--max-iter", 0),
             ("--mode", "nasa-euclidean", "--max-iter", -3),
+            ("--mode", "sinkhorn", "--sinkhorn-tol", -1),
+            ("--mode", "nasa-euclidean", "--sinkhorn-tol", "nan"),
         ],
     )
     def test_invalid_solver_arguments_exit_two(self, tmp_path, capsys, args):
@@ -463,6 +474,16 @@ class TestDetect:
             assert run_cli("detect", "--clean", clean_path, "--dirty", clean_path,
                            "--percentile", pct, "--auto-scale", "--out", out) == 0
             assert load_json_report(out)["flagged"] == []
+
+    def test_all_zero_sparse_plan_warns_without_densifying(self, tmp_path, capsys):
+        # At lambda 1e-300 no entry is a candidate, so the plan has no entries.
+        clean_path, dirty_path, _ = self._write_clouds(tmp_path)
+        densify = property(lambda plan: pytest.fail("the sparse plan was densified"))
+        with mock.patch.object(TransportPlan, "pi", densify):
+            assert run_cli("detect", "--clean", clean_path, "--dirty", dirty_path,
+                           "--lambda", "1e-300", "--z", "1e10", "--T", 3) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: the robust plan is all zeros; it moves no mass\n"
 
     def test_planted_far_points_are_flagged_exactly(self, tmp_path):
         clean_path, dirty_path, truth = self._write_clouds(tmp_path)
