@@ -9,10 +9,10 @@ every entry of the full matrix, a clamped copy of the dual and a fresh
 array per step, so tests can require bit-identical results from the
 package.  The robust loop's line sums add a line's entries one after
 another, as the package's do (:func:`sequential_sums`).  The
-Sinkhorn reference evaluates each update in log space with log-sum-exp
-and forms the plan every iteration to test convergence, where the
-package scales an offset kernel and tests the marginals of the scaling
-vectors.  The shift that the squared-Euclidean
+Sinkhorn references form the plan every iteration to test convergence,
+where the package tests the marginals of the scaling vectors; one
+scales the package's offset kernel, the other evaluates each update in
+log space with log-sum-exp.  The shift that the squared-Euclidean
 NASA loop subtracts from a line comes here from bisection, not a sort.
 """
 
@@ -106,6 +106,40 @@ def dense_robust_solve(gamma, beta, lam, iterations, sums=sequential_sums):
         pass
     pi = dense_psi_prime(theta_star, beta_potential(beta))
     return pi, float(np.sum(sequential_sums(pi * gamma, axis=1)))
+
+
+def dense_sinkhorn(gamma, lam, tol, max_iter):
+    """Plan, iteration count and convergence flag of offset-kernel Sinkhorn.
+
+    The package's offsets, kernel and absorption rule, but a fresh kernel
+    and fresh scalings per step, and the plan formed every iteration to
+    test convergence.
+    """
+    m, n = gamma.shape
+    r = 1.0 / m
+    c = 1.0 / n
+    f = gamma.min(axis=1, keepdims=True)
+    g = (gamma - f).min(axis=0)
+    kernel = np.exp(((f - gamma) + g) / lam)
+    u = np.ones(m)
+    v = np.ones(n)
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        if max(u.max(), v.max(), 1 / u.min(), 1 / v.min()) > 1e50:
+            f = f + lam * np.log(u)[:, None]
+            g = g + lam * np.log(v)
+            kernel = np.exp(((f - gamma) + g) / lam)
+            u = np.ones(m)
+            v = np.ones(n)
+        u = r / (kernel @ v)
+        v = c / (kernel.T @ u)
+        pi = u[:, None] * kernel * v[None, :]
+        if _stop_residual(pi, m, n) <= tol:
+            converged = True
+            break
+    pi = u[:, None] * kernel * v[None, :]
+    return pi, iterations, converged
 
 
 def dense_sinkhorn_log(gamma, lam, tol, max_iter):

@@ -11,6 +11,7 @@ from dense_reference import (
     bisect_shift,
     dense_robust_duals,
     dense_robust_solve,
+    dense_sinkhorn,
     dense_sinkhorn_log,
     init_dual,
 )
@@ -870,6 +871,33 @@ class TestSummationRule:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+@st.composite
+def dense_loop_instances(draw):
+    """Random (cost, lam, tol, max_iter) for offset-kernel Sinkhorn."""
+    m = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma = rng.uniform(0.0, draw(st.floats(0.0, 5.0)), size=(m, n))
+    if draw(st.booleans()):
+        gamma = np.round(gamma, 1)
+    lam = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    tol = draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+    max_iter = draw(st.integers(1, 2000))
+    return gamma, lam, tol, max_iter
+
+
+class TestSinkhornMatchesDenseLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(dense_loop_instances())
+    def test_same_iterations_and_bit_identical_plan(self, instance):
+        gamma, lam, tol, max_iter = instance
+        pi, iterations, converged = dense_sinkhorn(gamma, lam, tol, max_iter)
+        plan = sinkhorn_solve(gamma, lam, tol=tol, max_iter=max_iter)
+        assert plan.iterations_run == iterations
+        assert plan.converged == converged
+        assert np.array_equal(plan.pi, pi)
 
 
 @st.composite
