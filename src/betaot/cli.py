@@ -9,6 +9,7 @@ iteration budget, 4 numerical failure.
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -78,14 +79,15 @@ def _parse_dist_component(text: str):
             mean = np.array([float(v) for v in params["mean"].split(",")])
             scale = float(params.get("scale", "1"))
             count = int(params["count"])
-            if scale < 0 or count < 0:
+            if not (0 <= scale < math.inf and np.isfinite(mean).all()) or count < 0:
                 raise ValueError
             return ("gaussian", mean, scale, count, mean.size)
         if kind == "uniform":
             lo, hi = (float(v) for v in params["box"].split(","))
             dim = int(params["dim"])
             count = int(params["count"])
-            if hi < lo or dim < 1 or count < 0:
+            # A NaN or infinite bound makes the width non-finite too.
+            if hi < lo or not math.isfinite(hi - lo) or dim < 1 or count < 0:
                 raise ValueError
             return ("uniform", lo, hi, count, dim)
     except (KeyError, ValueError) as exc:
@@ -99,7 +101,9 @@ def sample_spec(spec: str, seed: int) -> np.ndarray:
     Grammar: components joined by '+', each either
     ``gaussian:mean=M1,M2,...:scale=S:count=N`` (isotropic, standard
     deviation S) or ``uniform:box=LO,HI:dim=D:count=N`` (the box [LO,HI]^D).
-    All components must share one dimension.
+    All components must share one dimension.  Every number must be finite,
+    as must the box width HI - LO and every point drawn; otherwise
+    :class:`FormatError`.
     """
     components = [_parse_dist_component(c) for c in spec.split("+")]
     dims = {c[-1] for c in components}
@@ -108,16 +112,18 @@ def sample_spec(spec: str, seed: int) -> np.ndarray:
     dim = dims.pop()
     rng = np.random.default_rng(seed)
     blocks = []
-    for comp in components:
-        if comp[0] == "gaussian":
-            _, mean, scale, count, _ = comp
-            blocks.append(mean[None, :] + scale * rng.standard_normal((count, dim)))
-        else:
-            _, lo, hi, count, _ = comp
-            blocks.append(rng.uniform(lo, hi, size=(count, dim)))
-    if blocks:
-        return np.vstack(blocks)
-    return np.zeros((0, dim))
+    with np.errstate(over="ignore"):  # a point beyond the floats raises below
+        for comp in components:
+            if comp[0] == "gaussian":
+                _, mean, scale, count, _ = comp
+                blocks.append(mean[None, :] + scale * rng.standard_normal((count, dim)))
+            else:
+                _, lo, hi, count, _ = comp
+                blocks.append(rng.uniform(lo, hi, size=(count, dim)))
+    points = np.vstack(blocks)
+    if not np.all(np.isfinite(points)):
+        raise FormatError(f"spec {spec!r} draws points beyond the floats")
+    return points
 
 
 def _run_robust(gamma, z, args, fields):

@@ -13,8 +13,9 @@ is extended continuously with ``psi_prime = 0`` and, by convention,
 ``psi_second = 0`` (the exact limit for beta in (1, 2)).  Dual iterates
 clamped to the boundary therefore map to exactly zero plan entries and
 contribute nothing to Newton denominators; the zero-mass guarantee of the
-truncated solver relies on this being bit-exact, so the boundary case is
-handled by explicit comparison rather than by arithmetic that may round.
+truncated solver relies on this being bit-exact, so one rule, applied to
+the whole array before any arithmetic, finds the boundary by explicit
+comparison rather than by arithmetic that may round.
 
 All functions accept scalars or numpy arrays and are pure; they are safe
 to call concurrently.
@@ -137,24 +138,20 @@ def phi_prime(p, pot: Potential):
     return _scalar_or_array(out, p)
 
 
-def _beta_active(t_arr, pot: Potential):
-    """Flat indices of the entries off the conjugate boundary, and a fresh copy of them.
+def _beta_dual(t_arr, pot: Potential):
+    """The beta conjugate's boundary rule: a fresh copy of ``t``, the boundary at ``-inf``.
 
-    Entries exactly on the boundary map to exactly zero in every
-    derivative, so callers raise a power only at the returned indices (see
-    :func:`_dense`), bit-identical to evaluating the whole array.  The
-    indices are None when no entry is on the boundary.  Raises below the
-    conjugate domain.
+    :func:`_base_inplace` maps ``-inf`` to a base of exactly 0, so every
+    derivative maps an entry on the boundary to exactly zero; the entry is
+    found by comparison, never by arithmetic that may round.  Raises below
+    the conjugate domain; NaN passes through.
     """
     lo = pot.domain_lower_dual
-    off = t_arr != lo
-    active = None if off.all() else np.flatnonzero(off)
-    t_active = t_arr.flatten() if active is None else np.take(t_arr, active)
-    if np.any(t_active < lo):
+    if np.any(t_arr < lo):
         raise DomainError(
             f"conjugate derivative undefined below {lo} for beta={pot.beta}"
         )
-    return active, t_active
+    return np.where(t_arr == lo, -np.inf, t_arr)
 
 
 def _base_inplace(t, pot: Potential):
@@ -162,23 +159,19 @@ def _base_inplace(t, pot: Potential):
     return np.maximum(np.add(np.multiply(t, pot.beta - 1.0, out=t), 1.0, out=t), 0.0, out=t)
 
 
+def _psi_prime_inplace(t, pot: Potential):
+    """psi' of a fresh ``t`` above the bound or at ``-inf`` (the boundary), unchecked."""
+    return _base_inplace(t, pot) ** (1.0 / (pot.beta - 1.0))
+
+
 def _psi_pair_inplace(t, pot: Potential):
-    """psi' and psi'/base (0 where psi' is) of a fresh ``t`` above the bound, unchecked."""
+    """psi' and psi'/base (0 where psi' is) of ``t`` as in :func:`_psi_prime_inplace`."""
     base = _base_inplace(t, pot)
     powered = base ** (1.0 / (pot.beta - 1.0))
     with np.errstate(invalid="ignore"):
         np.divide(powered, base, out=base)
     base[powered == 0.0] = 0.0
     return powered, base
-
-
-def _dense(values, active, shape):
-    """``values`` at the ``active`` flat indices, exact zeros elsewhere."""
-    if active is None:
-        return values.reshape(shape)
-    out = np.zeros(shape)
-    np.put(out, active, values)
-    return out
 
 
 def psi_prime(t, pot: Potential):
@@ -190,9 +183,7 @@ def psi_prime(t, pot: Potential):
     """
     t_arr = np.asarray(t, dtype=float)
     if pot.kind == BETA:
-        active, t_active = _beta_active(t_arr, pot)
-        powered = _base_inplace(t_active, pot) ** (1.0 / (pot.beta - 1.0))
-        out = _dense(powered, active, t_arr.shape)
+        out = _psi_prime_inplace(_beta_dual(t_arr, pot), pot)
     elif pot.kind == SHANNON:
         out = np.exp(t_arr)
     else:
@@ -210,12 +201,11 @@ def psi_second(t, pot: Potential):
     """
     t_arr = np.asarray(t, dtype=float)
     if pot.kind == BETA:
-        active, t_active = _beta_active(t_arr, pot)
-        base = _base_inplace(t_active, pot)
+        base = _base_inplace(_beta_dual(t_arr, pot), pot)
         exponent = (2.0 - pot.beta) / (pot.beta - 1.0)
         with np.errstate(divide="ignore"):
             powered = np.power(base, exponent)
-        out = _dense(np.where(base > 0.0, powered, 0.0), active, t_arr.shape)
+        out = np.where(base > 0.0, powered, 0.0)
     elif pot.kind == SHANNON:
         out = np.exp(t_arr)
     else:
@@ -228,17 +218,13 @@ def psi_pair(t_arr: np.ndarray, pot: Potential):
 
     Shares the base computation between the two derivatives (for the beta
     kind, ``psi_second = psi_prime / base`` exactly), which matters inside
-    solver loops that need both every iteration.  For the beta kind the
-    power is raised only on entries off the boundary; the outputs keep the
-    input's shape, with exact zeros on the boundary, so row and column
-    sums over them reduce in the same order as a full evaluation.  The
-    robust solver calls its arithmetic, :func:`_psi_pair_inplace`, directly.
+    solver loops that need both every iteration.  For the beta kind both
+    are exact zeros on the boundary (see :func:`_beta_dual`).  The robust
+    solver calls the arithmetic, :func:`_psi_pair_inplace`, directly on
+    fresh copies of the entries above the bound.
     """
     if pot.kind == BETA:
-        t_arr = np.asarray(t_arr, dtype=float)
-        active, t_active = _beta_active(t_arr, pot)
-        ps, pss = _psi_pair_inplace(t_active, pot)
-        return _dense(ps, active, t_arr.shape), _dense(pss, active, t_arr.shape)
+        return _psi_pair_inplace(_beta_dual(np.asarray(t_arr, dtype=float), pot), pot)
     if pot.kind == SHANNON:
         e = np.exp(t_arr)
         return e, e

@@ -37,6 +37,7 @@ allocate, never their inputs; concurrent solves share nothing.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,8 +51,8 @@ from .errors import (
     NumericalUnderflowError,
     UnsupportedGeneratorError,
 )
-from .potentials import SHANNON, Potential, beta_potential, phi_prime, psi_prime
-from .potentials import _psi_pair_inplace
+from .potentials import SHANNON, Potential, beta_potential, phi_prime
+from .potentials import _psi_pair_inplace, _psi_prime_inplace
 from .projections import truncated_step
 
 
@@ -59,9 +60,10 @@ from .projections import truncated_step
 class SolverConfig:
     """Hyperparameters for the robust solver.
 
-    ``iterations`` may be given explicitly; otherwise it is derived from
-    the outlier tolerance ``z`` through :func:`iteration_budget` (in which
-    case the zero-mass guarantee applies).
+    ``iterations`` may be given explicitly, as an integer (not a bool) of
+    at least 1; otherwise it is derived from the outlier tolerance ``z``
+    through :func:`iteration_budget` (in which case the zero-mass
+    guarantee applies).
     """
 
     beta: float = 1.2
@@ -83,7 +85,10 @@ class TransportPlan:
 
     ``value`` is the Frobenius inner product of the plan with the cost
     matrix; ``row_residual_l1`` / ``col_residual_l1`` are L1 distances of
-    the marginals from the uniform targets 1/m and 1/n.
+    the marginals from the uniform targets 1/m and 1/n.  ``converged`` is
+    None for the robust loop; for a loop run to a tolerance it is True
+    exactly when those two residuals sum to at most the tolerance,
+    whatever stopping test ended the loop.
 
     ``pi`` is given dense or as the :class:`PlanEntries` of its nonzeros,
     as the candidate loop of :func:`robust_solve` gives it.  A sparse plan
@@ -132,7 +137,7 @@ def _validate_cost(cost) -> np.ndarray:
 
 def _check_lambda(lam: float) -> None:
     if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+        raise DomainError(f"lambda must be positive, got {lam}")
 
 
 def _scaling_cost(cost, lam: float, tol: float, max_iter: int) -> np.ndarray:
@@ -207,9 +212,10 @@ def _decrement_sum(beta: float, m: int, n: int) -> float:
 
 def _resolve_iterations(cfg: SolverConfig, m: int, n: int) -> int:
     if cfg.iterations is not None:
-        if cfg.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {cfg.iterations}")
-        return int(cfg.iterations)
+        it = cfg.iterations
+        if isinstance(it, bool) or not isinstance(it, numbers.Integral) or it < 1:
+            raise DomainError(f"iterations must be an integer >= 1, got {it!r}")
+        return int(it)
     if cfg.z is not None:
         return iteration_budget(cfg.z, cfg, m, n).budget
     raise ValueError("SolverConfig needs either iterations or z")
@@ -358,7 +364,8 @@ def _dense_plan(gamma, pot, lam, iterations):
     """The robust loop on the whole dual, the conjugate on its active entries.
 
     Line sums come from ``bincount`` over the active entries in row-major
-    order, as in :func:`_candidate_plan`.
+    order, as in :func:`_candidate_plan`.  The plan is ``psi_prime`` of the
+    entries above the bound and exactly 0 elsewhere.
     """
     m, n = gamma.shape
     bound = pot.clamp_bound
@@ -379,7 +386,10 @@ def _dense_plan(gamma, pot, lam, iterations):
             theta_hat = np.maximum(theta.max(axis=axis), bound)
             step = truncated_step(theta_hat, ps_sum, pss_sum, caps[size], size)
             theta -= np.expand_dims(step, axis)
-    return psi_prime(np.maximum(theta, bound, out=theta), pot)
+    active = np.flatnonzero(theta > bound)
+    pi = np.zeros((m, n))
+    pi.reshape(-1)[active] = _psi_prime_inplace(theta.reshape(-1)[active], pot)
+    return pi
 
 
 def _candidate_plan(shape, index, costs, pot, lam, iterations):
@@ -410,7 +420,7 @@ def _candidate_plan(shape, index, costs, pot, lam, iterations):
             theta -= truncated_step(theta_hat, ps_sum, pss_sum, caps[size], size)[lines]
 
     active = np.flatnonzero(theta > bound)
-    plan = PlanEntries(shape, index[active], psi_prime(theta[active], pot))
+    plan = PlanEntries(shape, index[active], _psi_prime_inplace(theta[active], pot))
     return plan, costs[active]
 
 
@@ -451,7 +461,6 @@ def sinkhorn_solve(
     f = gamma.min(axis=1, keepdims=True)
     g = np.subtract(gamma, f, out=kernel).min(axis=0)
     iterations = 0
-    converged = False
     # Exponents below the floats give zeros; a non-finite update raises below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u, v, kv = _restart(gamma, f, g, lam, kernel)
@@ -471,11 +480,10 @@ def sinkhorn_solve(
             kv = kernel @ v
             residual = np.abs(u * kv - r).sum() + np.abs(v * ktu - c).sum()
             if residual <= tol:
-                converged = True
                 break
     kernel *= u[:, None]
     kernel *= v[None, :]
-    return _plan_result(kernel, transport_value(kernel, gamma), iterations, converged)
+    return _plan_result(kernel, transport_value(kernel, gamma), iterations, tol)
 
 
 def _restart(gamma, f, g, lam, kernel):
@@ -526,16 +534,13 @@ def nasa_solve(
     m, n = gamma.shape
 
     a = 1.0 - (gamma - gamma.min(axis=1, keepdims=True)) / lam
-    iterations = 0
-    converged = False
     for iterations in range(1, max_iter + 1):
         a -= _line_shift(a, 1.0 / m)[:, None]
         a -= _line_shift(a.T, 1.0 / n)
         if _stop_residual(np.maximum(a, 0.0), m, n) <= tol:
-            converged = True
             break
     pi = np.maximum(a, 0.0, out=a)
-    return _plan_result(pi, transport_value(pi, gamma), iterations, converged)
+    return _plan_result(pi, transport_value(pi, gamma), iterations, tol)
 
 
 def _line_shift(a, total):
@@ -561,9 +566,10 @@ def _stop_residual(pi, m, n) -> float:
     return float(rows.sum()) + float(cols.sum())
 
 
-def _plan_result(pi, value, iterations, converged=None) -> TransportPlan:
+def _plan_result(pi, value, iterations, tol=None) -> TransportPlan:
     """The :class:`TransportPlan` of ``pi`` (dense or :class:`PlanEntries`) and its value."""
     row_res, col_res = marginal_residuals(pi, *pi.shape)
+    converged = None if tol is None else row_res + col_res <= tol
     return TransportPlan(pi, value, row_res, col_res, iterations, converged)
 
 

@@ -1,19 +1,20 @@
 """Dense references for the beta conjugate, the robust loop, Sinkhorn and
 the squared-Euclidean line shift.
 
-The package raises the conjugate power only on dual entries off the
-domain boundary, keeps one implicitly clamped dual, and on mostly
-clamped problems iterates only the entries that can become active.
+The package's robust loops keep one implicitly clamped dual, raise the
+conjugate power only on its entries above the bound, and on mostly
+clamped problems iterate only the entries that can become active.
 These helpers evaluate the same arithmetic the plain way, a power on
-every entry of the full matrix, a clamped copy of the dual and a fresh
-array per step, so tests can require bit-identical results from the
-package.  The robust loop's line sums add a line's entries one after
-another, as the package's do (:func:`sequential_sums`).  The
-Sinkhorn references form the plan every iteration to test convergence,
-where the package tests the marginals of the scaling vectors; one
-scales the package's offset kernel, the other evaluates each update in
-log space with log-sum-exp.  The shift that the squared-Euclidean
-NASA loop subtracts from a line comes here from bisection, not a sort.
+every entry of the full matrix with the boundary pinned to 0 by
+comparison, a clamped copy of the dual and a fresh array per step, so
+tests can require bit-identical results from the package.  The robust
+loop's line sums add a line's entries one after another, as the
+package's do (:func:`sequential_sums`).  The Sinkhorn references form
+the plan every iteration to test convergence, where the package tests
+the marginals of the scaling vectors; one scales the package's offset
+kernel, the other evaluates each update in log space with log-sum-exp.
+The shift that the squared-Euclidean NASA loop subtracts from a line
+comes here from bisection, not a sort.
 """
 
 import math
@@ -61,6 +62,14 @@ def dense_psi_pair(t, pot):
 def sequential_sums(x, axis):
     """Sums along ``axis`` that add the entries one after another."""
     return np.take(np.cumsum(x, axis=axis), -1, axis=axis)
+
+
+def sequential_residual(pi):
+    """The summed row and column L1 residuals, each line summed sequentially."""
+    m, n = pi.shape
+    rows = np.abs(sequential_sums(pi, axis=1) - 1.0 / m).sum()
+    cols = np.abs(sequential_sums(pi, axis=0) - 1.0 / n).sum()
+    return float(rows) + float(cols)
 
 
 def _dense_decrement(theta_star, pot, axis, size, sums=sequential_sums):
@@ -113,7 +122,8 @@ def dense_sinkhorn(gamma, lam, tol, max_iter):
 
     The package's offsets, kernel and absorption rule, but a fresh kernel
     and fresh scalings per step, and the plan formed every iteration to
-    test convergence.
+    test convergence.  The flag is whether the final plan's residuals,
+    summed as the package reports them, are within ``tol``.
     """
     m, n = gamma.shape
     r = 1.0 / m
@@ -123,8 +133,6 @@ def dense_sinkhorn(gamma, lam, tol, max_iter):
     kernel = np.exp(((f - gamma) + g) / lam)
     u = np.ones(m)
     v = np.ones(n)
-    iterations = 0
-    converged = False
     for iterations in range(1, max_iter + 1):
         if max(u.max(), v.max(), 1 / u.min(), 1 / v.min()) > 1e50:
             f = f + lam * np.log(u)[:, None]
@@ -136,10 +144,9 @@ def dense_sinkhorn(gamma, lam, tol, max_iter):
         v = c / (kernel.T @ u)
         pi = u[:, None] * kernel * v[None, :]
         if _stop_residual(pi, m, n) <= tol:
-            converged = True
             break
     pi = u[:, None] * kernel * v[None, :]
-    return pi, iterations, converged
+    return pi, iterations, sequential_residual(pi) <= tol
 
 
 def dense_sinkhorn_log(gamma, lam, tol, max_iter):

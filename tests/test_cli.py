@@ -80,6 +80,23 @@ class TestGen:
         assert run_cli("gen", "--spec", "triangle:count=3", "--out", tmp_path / "x.csv") == 2
         assert run_cli("gen", "--spec", "gaussian:mean=0:count=oops", "--out", tmp_path / "y.csv") == 2
 
+    @pytest.mark.parametrize("spec", [
+        # A traceback (OverflowError) before:
+        "uniform:box=-1e308,1e308:dim=1:count=2",
+        "uniform:box=0,inf:dim=2:count=3",
+        "uniform:box=nan,1:dim=2:count=3",
+        # Non-finite points written before:
+        "gaussian:mean=0:scale=nan:count=3",
+        "gaussian:mean=inf:scale=1:count=2",
+        "gaussian:mean=0:scale=1e308:count=50",
+    ])
+    def test_non_finite_spec_exits_two_without_output(self, tmp_path, capsys, spec):
+        out = tmp_path / "x.csv"
+        assert run_cli("gen", "--spec", spec, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_dimension_mismatch_in_mixture(self, tmp_path):
         spec = "gaussian:mean=0,0:scale=1:count=2 + uniform:box=0,1:dim=3:count=2"
         assert run_cli("gen", "--spec", spec, "--out", tmp_path / "m.csv") == 2

@@ -193,7 +193,38 @@ class TestConjugateDuality:
         # own, equal only in exact arithmetic: each matches its dense form.
         assert np.array_equal(psi_second(t, pot), dense_psi_second(t, pot))
         assert np.all(ps[kind == 0] == 0.0) and np.all(pss[kind == 0] == 0.0)
-        t.flat[0] = np.nextafter(lo, -np.inf)
+        # NaN passes through: NaN from psi_prime and from both halves of
+        # psi_pair, 0 from psi_second (whose "base > 0" is False), and
+        # every other entry keeps its bits.
+        nan = rng.random(shape) < 0.25
+        t_nan = np.where(nan, np.nan, t)
+        expected = {
+            "psi_pair": (np.where(nan, np.nan, ps), np.where(nan, np.nan, pss)),
+            "psi_prime": np.where(nan, np.nan, ps),
+            "psi_second": np.where(nan, 0.0, psi_second(t, pot)),
+        }
+        for got, want in (
+            (psi_pair(t_nan, pot), expected["psi_pair"]),
+            (psi_prime(t_nan, pot), expected["psi_prime"]),
+            (psi_second(t_nan, pot), expected["psi_second"]),
+        ):
+            assert np.array_equal(got, want, equal_nan=True)
+        # A 0-d input gives the bits of the same entry in an array, and a
+        # 0-d shape; psi_prime and psi_second give a float.
+        for x in (lo, just_above.flat[0], ordinary.flat[0], np.nan):
+            one = np.array([x])
+            for fn in (psi_prime, psi_second):
+                assert isinstance(fn(x, pot), float)
+                assert np.array_equal([fn(x, pot)], fn(one, pot), equal_nan=True)
+                assert np.array_equal([fn(np.array(x), pot)], fn(one, pot), equal_nan=True)
+            for got, want in zip(psi_pair(np.array(x), pot), psi_pair(one, pot)):
+                assert np.shape(got) == ()
+                assert np.array_equal(np.reshape(got, 1), want, equal_nan=True)
+        below = np.nextafter(lo, -np.inf)
+        for fn in (psi_pair, psi_prime, psi_second):
+            with pytest.raises(DomainError):
+                fn(np.array(below), pot)
+        t.flat[0] = below
         with pytest.raises(DomainError):
             psi_pair(t, pot)
 

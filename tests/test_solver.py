@@ -15,7 +15,7 @@ from dense_reference import (
     dense_sinkhorn_log,
     init_dual,
 )
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from betaot import (
@@ -160,6 +160,20 @@ class TestRobustSolve:
         with pytest.raises(ValueError):
             robust_solve(np.zeros((2, 2)), cfg)
 
+    @pytest.mark.parametrize("iterations", [2.5, True, np.float64(3.0)])
+    def test_rejects_iterations_that_are_not_integers(self, iterations):
+        # int() would truncate them: 2.5 to 2 iterations, True to 1.
+        with pytest.raises(DomainError, match="integer"):
+            robust_solve(np.ones((3, 3)), SolverConfig(iterations=iterations))
+
+    def test_numpy_integer_iterations_are_accepted(self):
+        plan = robust_solve(np.ones((3, 3)), SolverConfig(iterations=np.int64(3)))
+        assert plan.iterations_run == 3
+
+    def test_bad_lambda_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="lambda"):
+            robust_solve(np.ones((3, 3)), SolverConfig(lam=0.0, iterations=1))
+
     def test_requires_iterations_or_tolerance(self):
         with pytest.raises(ValueError):
             robust_solve(np.zeros((2, 2)), SolverConfig(beta=1.2, lam=2.0))
@@ -299,6 +313,31 @@ class TestSinkhorn:
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
             sinkhorn_solve(np.zeros((2, 2)), 0.0)
+
+
+class TestConvergedFlag:
+    """``converged`` is read from the residuals the plan reports, not from
+    the loop's stopping test, which sums the marginals another way."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(2, 39),
+        n=st.integers(2, 39),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.2, 5.0),
+        log_tol=st.floats(-15.0, -8.0),
+    )
+    # Sinkhorn's stopping test passes on the first with its reported
+    # residual 1.2% above tol, and NASA's on the second with 0.4% above.
+    @example(m=15, n=13, seed=2313922469, lam=2.512, log_tol=-14.33)
+    @example(m=4, n=26, seed=11798909, lam=0.423, log_tol=-14.521)
+    def test_converged_exactly_when_reported_residual_within_tol(self, m, n, seed, lam,
+                                                                  log_tol):
+        gamma = np.random.default_rng(seed).uniform(0.0, 5.0, size=(m, n))
+        tol = 10.0 ** log_tol
+        for plan in (sinkhorn_solve(gamma, lam, tol=tol, max_iter=2000),
+                     nasa_solve(gamma, lam, squared_euclidean(), tol=tol, max_iter=2000)):
+            assert plan.converged == (plan.row_residual_l1 + plan.col_residual_l1 <= tol)
 
 
 class TestNasaSolve:
