@@ -153,8 +153,7 @@ def _run_robust(gamma, z, args, fields):
         certified = True
     cfg.iterations = iterations
     plan = robust_solve(gamma_solve, cfg)
-    # The entries of a sparse plan, never the dense matrix they stand for.
-    if not np.any(plan.pi if plan.entries is None else plan.entries.values):
+    if not np.any(plan.entries.values):
         sys.stderr.write("warning: the robust plan is all zeros; it moves no mass\n")
     fields.update(
         beta=args.beta,
@@ -171,7 +170,7 @@ def _solve_mode(gamma, args, fields):
     """Run the ``--mode`` solver on the dense cost ``gamma``; record its report fields.
 
     Returns the :class:`TransportPlan`.  Its ``pi`` is not read here, so
-    a sparse robust plan stays sparse unless the caller reads it.
+    a robust plan stays as its entries unless the caller reads it.
     """
     if args.mode == "exact":
         sol = exact_ot(gamma)

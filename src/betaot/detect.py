@@ -39,8 +39,10 @@ def detect_outliers(plan, eps_zero: float = 1e-12) -> OutlierReport:
 
     The caller is responsible for having produced the plan within a valid
     iteration budget.  A degenerate all-zero plan flags every column
-    (surfaced, not hidden).
+    (surfaced, not hidden).  A NaN ``eps_zero``, which flags nothing, raises ``ValueError``.
     """
+    if np.isnan(eps_zero):
+        raise ValueError("eps_zero must not be NaN")
     pi = _plan_data(plan)
     if isinstance(pi, PlanEntries):
         # Plan entries are nonnegative, so the zeros left out set the floor.

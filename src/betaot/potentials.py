@@ -68,12 +68,12 @@ class Potential:
 def beta_potential(beta: float) -> Potential:
     """Build the beta power potential ``(p^beta - beta*p + beta - 1) / (beta*(beta-1))``.
 
-    Requires ``beta > 1`` strictly; the conjugate domain is then
+    Requires a finite ``beta > 1``; the conjugate domain is then
     ``(1/(1-beta), inf)``.
     """
     beta = float(beta)
-    if not beta > 1.0:
-        raise DomainError(f"beta potential requires beta > 1, got {beta}")
+    if not 1.0 < beta < math.inf:
+        raise DomainError(f"beta potential requires a finite beta > 1, got {beta}")
     bound = 1.0 / (1.0 - beta)
     return Potential(kind=BETA, beta=beta, domain_lower_dual=bound, clamp_bound=bound)
 

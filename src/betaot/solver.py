@@ -11,12 +11,11 @@ Three solvers work in dual coordinates:
   behind the guarantee certifies, before the loop, every entry that
   stays clamped for all T iterations; one walk over blocks of cost rows,
   dense or evaluated on demand, finds the remaining candidates.  When
-  they are few, the loop runs on compressed arrays over them alone,
-  allocates no m x n array and returns the plan sparse, as its nonzero
-  entries.  Otherwise it runs on the dense dual and the plan is dense.
-  Both loops form every line sum of a half-step sequentially, with
-  ``bincount`` over the active entries in row-major order, so they give
-  bit-identical plans, values and residuals.
+  they are few, the loop runs on compressed arrays over them alone and
+  allocates no m x n array; otherwise it runs on the dense dual.  Both
+  return the plan as its entries above the clamp bound and sum every
+  line of a half-step with ``bincount`` over the active entries in
+  row-major order, so they give bit-identical plans and diagnostics.
 - :func:`sinkhorn_solve` is the classical scaling method for the Shannon
   entropy, on a kernel whose offsets keep it from underflowing.
 - :func:`nasa_solve` is the alternating-projection loop for a cofinite
@@ -25,7 +24,7 @@ Three solvers work in dual coordinates:
   per line.  It is the reference the truncated beta loop deviates from.
 
 All solvers return a :class:`TransportPlan` carrying the plan, its cost
-value, L1 marginal residuals, and the iteration count.  A sparse plan
+value, L1 marginal residuals, and the iteration count.  A robust plan
 keeps its entries and builds the dense ``pi`` only when it is read;
 :func:`transport_value`, :func:`marginal_residuals` and
 ``detect.detect_outliers`` work from the entries.  Every reported
@@ -38,6 +37,7 @@ allocate, never their inputs; concurrent solves share nothing.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,7 +73,10 @@ class SolverConfig:
 
 
 class PlanEntries(NamedTuple):
-    """The nonzero entries of an m x n plan, at sorted row-major flat ``index``."""
+    """Entries of an m x n plan at sorted row-major flat ``index``; all others are 0.
+
+    A robust plan's are those above the clamp bound; a value can underflow to 0.
+    """
 
     shape: tuple[int, int]
     index: np.ndarray
@@ -90,10 +93,9 @@ class TransportPlan:
     exactly when those two residuals sum to at most the tolerance,
     whatever stopping test ended the loop.
 
-    ``pi`` is given dense or as the :class:`PlanEntries` of its nonzeros,
-    as the candidate loop of :func:`robust_solve` gives it.  A sparse plan
-    keeps them in ``entries`` and builds the dense ``pi`` once, on first
-    access; a dense plan has ``entries`` None.
+    ``pi`` is given dense or, by :func:`robust_solve`, as
+    :class:`PlanEntries`, kept in ``entries``; the dense ``pi`` is then
+    built once, on first access.  A dense plan has ``entries`` None.
     """
 
     def __init__(self, pi, value, row_residual_l1, col_residual_l1, iterations_run,
@@ -136,8 +138,8 @@ def _validate_cost(cost) -> np.ndarray:
 
 
 def _check_lambda(lam: float) -> None:
-    if not lam > 0.0:
-        raise DomainError(f"lambda must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"lambda must be finite and positive, got {lam}")
 
 
 def _scaling_cost(cost, lam: float, tol: float, max_iter: int) -> np.ndarray:
@@ -167,9 +169,9 @@ def iteration_budget(z: float, cfg: SolverConfig, m: int, n: int) -> IterationBu
     Raises
     ------
     DomainError
-        If ``beta <= 1`` or ``lam <= 0``, where the bound is undefined, or
-        if ``z`` or the bound is not finite (``z/lam`` can overflow, and
-        for a large beta the denominator can underflow to 0).
+        If ``beta`` is outside ``(1, inf)`` or ``lam`` outside ``(0, inf)``,
+        where the bound is undefined, or if ``z`` or the bound is not finite
+        (``z/lam`` can overflow; for a large beta the denominator can underflow).
     InfeasibleToleranceError
         If ``z <= lam / (beta - 1)``, where the bound is nonpositive.
     BudgetExhaustedError
@@ -177,10 +179,8 @@ def iteration_budget(z: float, cfg: SolverConfig, m: int, n: int) -> IterationBu
         ``costs.auto_scale``).
     """
     beta, lam = cfg.beta, cfg.lam
-    if not beta > 1.0:
-        raise DomainError(f"the iteration budget requires beta > 1, got {beta}")
-    if not lam > 0.0:
-        raise DomainError(f"the iteration budget requires lambda > 0, got {lam}")
+    beta_potential(beta)  # raises DomainError outside (1, inf)
+    _check_lambda(lam)
     if not math.isfinite(z):
         raise DomainError(f"the iteration budget requires a finite z, got {z}")
     if z <= lam / (beta - 1.0):
@@ -249,7 +249,7 @@ def _certified_cost(pot: Potential, lam: float, m: int, n: int, iterations: int)
         return math.inf
     bound = pot.clamp_bound
     rise = -(bound - phi_prime(1.0 / m, pot)) - (bound - phi_prime(1.0 / n, pot))
-    u = np.finfo(float).eps / 2.0
+    u = sys.float_info.epsilon / 2.0  # a Python float overflows to inf silently
     level = (abs(bound) + iterations * rise) * (1.0 + 8.0 * (iterations + 2) * u)
     return lam * level * (1.0 + 4.0 * u)
 
@@ -316,8 +316,8 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     at 25%, 0.86 at 50%, 1.02 at 60% and 1.53 at 85%; on 800x800 costs
     whose candidates all end active, 0.50 at 10%, 0.76 at 20%, 0.80 at
     25%, 0.99 at 35% and 1.20 at 50%.  At a fifth neither case is
-    slower.  The candidate loop returns a sparse plan (see
-    :class:`TransportPlan`).
+    slower.  Either loop returns :class:`PlanEntries`, the value and
+    residuals come from them, and ``pi`` is built when read.
 
     ``cost`` may also be a ``costs.SqEuclideanCost``, which is never
     formed whole on the candidate loop: the walk evaluates its rows in
@@ -352,20 +352,18 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
         if found is None:
             if not isinstance(gamma, np.ndarray):
                 gamma = gamma.dense()
-            pi = _dense_plan(gamma, pot, cfg.lam, iterations)
-            value = transport_value(pi, gamma)
+            pi, costs = _dense_plan(gamma, pot, cfg.lam, iterations)
         else:
             pi, costs = _candidate_plan((m, n), *found, pot, cfg.lam, iterations)
-            value = _entries_value(pi, costs)
-    return _plan_result(pi, value, iterations)
+    return _plan_result(pi, _entries_value(pi, costs), iterations)
 
 
 def _dense_plan(gamma, pot, lam, iterations):
     """The robust loop on the whole dual, the conjugate on its active entries.
 
     Line sums come from ``bincount`` over the active entries in row-major
-    order, as in :func:`_candidate_plan`.  The plan is ``psi_prime`` of the
-    entries above the bound and exactly 0 elsewhere.
+    order, as in :func:`_candidate_plan`, and it returns what that does:
+    the :class:`PlanEntries` above the bound and the costs at them.
     """
     m, n = gamma.shape
     bound = pot.clamp_bound
@@ -387,9 +385,9 @@ def _dense_plan(gamma, pot, lam, iterations):
             step = truncated_step(theta_hat, ps_sum, pss_sum, caps[size], size)
             theta -= np.expand_dims(step, axis)
     active = np.flatnonzero(theta > bound)
-    pi = np.zeros((m, n))
-    pi.reshape(-1)[active] = _psi_prime_inplace(theta.reshape(-1)[active], pot)
-    return pi
+    plan = PlanEntries((m, n), active, _psi_prime_inplace(theta.reshape(-1)[active], pot))
+    # take flattens in C order, so an F-ordered cost gives the same costs.
+    return plan, np.take(gamma, active)
 
 
 def _candidate_plan(shape, index, costs, pot, lam, iterations):
@@ -574,7 +572,7 @@ def _plan_result(pi, value, iterations, tol=None) -> TransportPlan:
 
 
 def _plan_data(plan):
-    """The dense plan as an array, or the :class:`PlanEntries` of a sparse one."""
+    """The plan's :class:`PlanEntries` when it has them, else the dense plan as an array."""
     if isinstance(plan, TransportPlan):
         plan = plan.pi if plan.entries is None else plan.entries
     return plan if isinstance(plan, PlanEntries) else np.asarray(plan, dtype=float)
@@ -598,7 +596,7 @@ def transport_value(plan, cost) -> float:
 
 
 def _entries_value(entries: PlanEntries, costs) -> float:
-    """:func:`transport_value` of a sparse plan from the costs at its entries."""
+    """:func:`transport_value` of a plan's entries from the costs at them."""
     m, n = entries.shape
     return float(np.sum(np.bincount(entries.index // n, weights=entries.values * costs,
                                     minlength=m)))
@@ -608,7 +606,7 @@ def marginal_residuals(plan, m: int, n: int) -> tuple[float, float]:
     """L1 distances of the plan's row/column sums from 1/m and 1/n.
 
     Each row and each column adds its entries one after another in
-    row-major order: ``bincount`` over a sparse plan's nonzeros, a
+    row-major order: ``bincount`` over a plan's entries, a
     ``cumsum`` over a few rows of a dense plan (or of its transpose) at
     a time.  The two forms give the same residuals, whatever the shape
     or memory order, and the rule depends on no numpy release.

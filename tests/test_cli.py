@@ -9,12 +9,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from dense_reference import dense_sinkhorn_log
+from dense_reference import dense_robust_solve, dense_sinkhorn_log
 
 from betaot import (
     SolverConfig,
     TransportPlan,
     auto_scale,
+    beta_potential,
     detect_outliers,
     estimate_z,
     exact_ot,
@@ -28,6 +29,7 @@ from betaot import (
 )
 from betaot.cli import main, sample_spec
 from betaot.fileio import read_cost_matrix, read_point_cloud, write_matrix, write_point_cloud
+from betaot.solver import _candidate_entries, _certified_cost
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -256,6 +258,12 @@ class TestDistance:
             ("--mode", "nasa-euclidean", "--max-iter", -3),
             ("--mode", "sinkhorn", "--sinkhorn-tol", -1),
             ("--mode", "nasa-euclidean", "--sinkhorn-tol", "nan"),
+            ("--lambda", "inf", "--T", 3),
+            ("--lambda", "inf"),
+            ("--beta", "inf", "--T", 3),
+            ("--beta", "inf"),
+            ("--mode", "sinkhorn", "--lambda", "inf"),
+            ("--mode", "nasa-euclidean", "--lambda", "inf"),
         ],
     )
     def test_invalid_solver_arguments_exit_two(self, tmp_path, capsys, args):
@@ -298,6 +306,22 @@ class TestSolve:
         assert run_cli("solve", "--cost", cost, "--mode", "robust", "--beta", 2.0,
                        "--lambda", 1.0, "--T", 1, "--out", plan_path) == 0
         assert plan_path.read_text() == "0.25,0.25\n0.25,0.25\n"
+
+    def test_dense_loop_plan_file_is_the_dense_reference(self, tmp_path):
+        # Every cost lies below the certified level, so the dense loop runs;
+        # the file holds the plan built from its entries.
+        gamma = np.random.default_rng(23).uniform(0.0, 30.0, size=(12, 9))
+        cost, plan_path, expected = tmp_path / "c.csv", tmp_path / "p.csv", tmp_path / "e.csv"
+        write_matrix(cost, gamma)
+        gamma = read_cost_matrix(cost)
+        level = _certified_cost(beta_potential(1.2), 2.0, 12, 9, 4)
+        assert _candidate_entries(gamma, level) is None
+        assert run_cli("solve", "--cost", cost, "--mode", "robust", "--T", 4,
+                       "--out", plan_path) == 0
+        pi, _ = dense_robust_solve(gamma, 1.2, 2.0, 4)
+        assert 0 < np.count_nonzero(pi) < pi.size
+        write_matrix(expected, pi)
+        assert plan_path.read_bytes() == expected.read_bytes()
 
     def test_sinkhorn_closed_form_value_in_report(self, tmp_path):
         cost = tmp_path / "c.csv"
@@ -523,6 +547,15 @@ class TestDetect:
         assert "outlier_recall" not in report
         assert "inlier_specificity" not in report
         assert "flagged" in report
+
+    def test_nan_eps_zero_exits_two(self, tmp_path, capsys):
+        # No plan entry compares at most NaN, so it would flag nothing.
+        clean_path, dirty_path, _ = self._write_clouds(tmp_path)
+        out = tmp_path / "rep.txt"
+        assert run_cli("detect", "--clean", clean_path, "--dirty", dirty_path,
+                       "--auto-scale", "--eps-zero", "nan", "--out", out) == 2
+        assert capsys.readouterr().err == "error: eps_zero must not be NaN\n"
+        assert not out.exists()
 
     def test_budget_infeasible_without_rescale_exits_three(self, tmp_path):
         clean_path, dirty_path, _ = self._write_clouds(tmp_path, seed=2)

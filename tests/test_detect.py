@@ -38,6 +38,11 @@ class TestZeroColumnRule:
         assert detect_outliers(plan, eps_zero=1e-12).flagged == [0]
         assert detect_outliers(plan, eps_zero=0.0).flagged == []
 
+    def test_nan_threshold_is_rejected(self):
+        # No entry compares at most NaN: it would flag nothing, silently.
+        with pytest.raises(ValueError, match="NaN"):
+            detect_outliers(np.zeros((2, 2)), eps_zero=np.nan)
+
 
 class TestBaseline:
     def test_flags_far_column(self):

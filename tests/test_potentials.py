@@ -24,7 +24,7 @@ from betaot.potentials import psi_pair
 
 class TestConstruction:
     def test_beta_requires_strictly_greater_than_one(self):
-        for bad in (1.0, 0.9, 0.0, -2.0):
+        for bad in (1.0, 0.9, 0.0, -2.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 beta_potential(bad)
 

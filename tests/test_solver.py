@@ -61,6 +61,20 @@ def _candidates(gamma, level):
     return None if found is None else found[0]
 
 
+def _loop(cost, cfg):
+    """The loop that ``robust_solve(cost, cfg)`` runs, as its candidate walk selects it."""
+    m, n = cost.shape
+    level = _certified_cost(beta_potential(cfg.beta), cfg.lam, m, n, cfg.iterations)
+    return "dense loop" if _candidates(cost, level) is None else "candidate loop"
+
+
+def _densify(entries):
+    """The dense m x n plan of :class:`PlanEntries`: zeros but at its entries."""
+    pi = np.zeros(entries.shape)
+    pi.reshape(-1)[entries.index] = entries.values
+    return pi
+
+
 def _two_clouds(size):
     """Squared distances between Gaussian clouds at means 0 and 1 in the plane (seed 1)."""
     rng = np.random.default_rng(1)
@@ -121,7 +135,10 @@ class TestIterationBudget:
         with pytest.raises(BudgetExhaustedError):
             iteration_budget(10.5, cfg, 10, 10)
 
-    @pytest.mark.parametrize("beta, lam", [(1.0, 2.0), (0.5, 2.0), (1.2, 0.0), (1.2, -1.0)])
+    @pytest.mark.parametrize(
+        "beta, lam",
+        [(1.0, 2.0), (0.5, 2.0), (math.inf, 2.0), (1.2, 0.0), (1.2, -1.0), (1.2, math.inf)],
+    )
     def test_beta_and_lambda_outside_domain_raise(self, beta, lam):
         with pytest.raises(DomainError):
             iteration_budget(100.0, SolverConfig(beta=beta, lam=lam), 10, 10)
@@ -171,8 +188,20 @@ class TestRobustSolve:
         assert plan.iterations_run == 3
 
     def test_bad_lambda_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="lambda"):
-            robust_solve(np.ones((3, 3)), SolverConfig(lam=0.0, iterations=1))
+        for lam in (0.0, math.inf):
+            with pytest.raises(DomainError, match="lambda"):
+                robust_solve(np.ones((3, 3)), SolverConfig(lam=lam, iterations=1))
+
+    def test_infinite_beta_is_a_domain_error(self):
+        # 1/(1 - inf) is a clamp bound of -0.0, which no finite beta gives.
+        with pytest.raises(DomainError, match="beta"):
+            robust_solve(np.ones((3, 3)), SolverConfig(beta=math.inf, iterations=3))
+
+    def test_overflowing_certified_cost_warns_nothing(self):
+        # lam times the certified level overflows to inf: every entry is a
+        # candidate, silently (the suite turns a RuntimeWarning into an error).
+        plan = robust_solve(np.ones((3, 3)), SolverConfig(lam=1e308, iterations=2))
+        assert plan.iterations_run == 2
 
     def test_requires_iterations_or_tolerance(self):
         with pytest.raises(ValueError):
@@ -311,8 +340,9 @@ class TestSinkhorn:
             assert abs(plan.value - exact) / exact <= 0.02
 
     def test_rejects_bad_lambda(self):
-        with pytest.raises(ValueError):
-            sinkhorn_solve(np.zeros((2, 2)), 0.0)
+        for lam in (0.0, math.inf):
+            with pytest.raises(DomainError, match="lambda"):
+                sinkhorn_solve(np.zeros((2, 2)), lam)
 
 
 class TestConvergedFlag:
@@ -516,7 +546,11 @@ class TestRobustSolveMatchesDenseLoop:
     def test_bit_identical_to_dense_evaluation(self, instance):
         beta, lam, iterations, gamma, _ = instance
         pi, value = dense_robust_solve(gamma, beta, lam, iterations)
-        plan = robust_solve(gamma, SolverConfig(beta=beta, lam=lam, iterations=iterations))
+        cfg = SolverConfig(beta=beta, lam=lam, iterations=iterations)
+        event(_loop(gamma, cfg))
+        plan = robust_solve(gamma, cfg)
+        assert plan.entries is not None
+        assert np.all(np.diff(plan.entries.index) > 0)
         assert np.array_equal(plan.pi, pi)
         assert plan.value == value
 
@@ -557,8 +591,9 @@ class TestRobustSolveMatchesDenseLoop:
     @given(robust_instances(), st.integers(0, 2**32 - 1))
     def test_diagnostics_from_entries_equal_those_from_dense_plan(self, instance, seed):
         beta, lam, iterations, gamma, _ = instance
-        plan = robust_solve(gamma, SolverConfig(beta=beta, lam=lam, iterations=iterations))
-        event("sparse plan" if plan.entries is not None else "dense plan")
+        cfg = SolverConfig(beta=beta, lam=lam, iterations=iterations)
+        event(_loop(gamma, cfg))
+        plan = robust_solve(gamma, cfg)
         pi = plan.pi
         assert plan.pi is pi
         assert _bits(plan.value) == _bits(transport_value(pi, gamma))
@@ -609,8 +644,9 @@ class TestDenseLoop:
         event("m > 128" if m > 128 else "m <= 128")
         event("F-ordered" if gamma.flags.f_contiguous and n > 1 else "C-ordered")
         pi, value = dense_robust_solve(gamma, beta, lam, iterations)
-        plan = robust_solve(gamma, SolverConfig(beta=beta, lam=lam, iterations=iterations))
-        assert plan.entries is None
+        cfg = SolverConfig(beta=beta, lam=lam, iterations=iterations)
+        assert _loop(gamma, cfg) == "dense loop"
+        plan = robust_solve(gamma, cfg)
         assert plan.pi.tobytes() == pi.tobytes()
         assert _bits(plan.value) == _bits(value)
         residuals = marginal_residuals(pi, m, n)
@@ -641,10 +677,11 @@ class TestCertifiedCost:
         assert _candidates(gamma, level) is not None
         pi, value = dense_robust_solve(gamma, 1.2, 2.0, 12)
         plan = robust_solve(gamma, SolverConfig(beta=1.2, lam=2.0, iterations=12))
-        assert plan.entries is not None
         assert np.array_equal(plan.pi, pi)
         assert plan.value == value
-        assert np.array_equal(_dense_plan(gamma, beta_potential(1.2), 2.0, 12), pi)
+        entries, costs = _dense_plan(gamma, beta_potential(1.2), 2.0, 12)
+        assert np.array_equal(_densify(entries), pi)
+        assert np.array_equal(costs, gamma.reshape(-1)[entries.index])
         assert np.count_nonzero(pi, axis=1).max() >= 10
         pairwise, _ = dense_robust_solve(gamma, 1.2, 2.0, 12, sums=np.sum)
         assert not np.array_equal(pairwise, pi)
@@ -658,13 +695,14 @@ class TestCertifiedCost:
             near = rng.choice(m, m // 5, replace=False)
             gamma[near, 0] = rng.uniform(0.0, 0.1, size=near.size)
             pi, value = dense_robust_solve(gamma, 1.2, 1.0, 6)
-            plan = robust_solve(gamma, SolverConfig(beta=1.2, lam=1.0, iterations=6))
-            assert plan.entries is not None
+            cfg = SolverConfig(beta=1.2, lam=1.0, iterations=6)
+            assert _loop(gamma, cfg) == "candidate loop"
+            plan = robust_solve(gamma, cfg)
             assert np.array_equal(plan.pi, pi)
             assert plan.value == value
             residuals = marginal_residuals(pi, m, 1)
             assert _bits(plan.row_residual_l1, plan.col_residual_l1) == _bits(*residuals)
-            assert np.array_equal(_dense_plan(gamma, pot, 1.0, 6), pi)
+            assert np.array_equal(_densify(_dense_plan(gamma, pot, 1.0, 6)[0]), pi)
             pairwise, _ = dense_robust_solve(gamma, 1.2, 1.0, 6, sums=np.sum)
             assert not np.array_equal(pairwise, pi)
 
@@ -683,7 +721,7 @@ class TestCertifiedCost:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert plan.entries is not None
+        assert np.count_nonzero(plan.entries.values) > 0
         assert peak < 4 * m * n
 
 
@@ -750,7 +788,7 @@ class TestLazyCost:
         event("n == 1" if n == 1 else "n > 1")
         plan = robust_solve(lazy, cfg)
         expected = robust_solve(gamma, cfg)
-        assert (plan.entries is not None) == candidate
+        assert (_candidates(lazy, level) is not None) == candidate
         assert plan.pi.tobytes() == expected.pi.tobytes()
         assert _bits(plan.value, plan.row_residual_l1, plan.col_residual_l1) == _bits(
             expected.value, expected.row_residual_l1, expected.col_residual_l1
@@ -777,7 +815,7 @@ class TestLazyCost:
         finally:
             tracemalloc.stop()
         assert scale != 1.0
-        assert plan.entries is not None
+        assert _loop(cost, cfg) == "candidate loop"
         assert set(range(6, n)) <= set(flagged)
         assert peak < 2 * m * n
 
@@ -830,7 +868,7 @@ class TestPlanProperties:
         cost = SqEuclideanCost(x, y) if lazy else sq_euclidean_cost(x, y)
         plan = robust_solve(cost, cfg)
         n = y.shape[0]
-        event("candidate loop" if plan.entries is not None else "dense loop")
+        event(_loop(cost, cfg))
         event("lazy cost" if lazy else "dense cost")
         pi = plan.pi
         assert np.all(pi >= 0.0)
@@ -842,7 +880,7 @@ class TestPlanProperties:
         x, y, cfg, _ = instance
         cost = SqEuclideanCost(x, y) if lazy else sq_euclidean_cost(x, y)
         first, second = robust_solve(cost, cfg), robust_solve(cost, cfg)
-        event("candidate loop" if first.entries is not None else "dense loop")
+        event(_loop(cost, cfg))
         event("lazy cost" if lazy else "dense cost")
         assert first.pi.tobytes() == second.pi.tobytes()
         assert _bits(first.value, first.row_residual_l1, first.col_residual_l1) == _bits(
