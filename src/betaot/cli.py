@@ -23,7 +23,7 @@ from .costs import (
     median_threshold,
     sq_euclidean_cost,
 )
-from .detect import detect_outliers, detection_metrics
+from .detect import _check_eps_zero, detect_outliers, detection_metrics
 from .errors import (
     AutoScaleError,
     BetaOTError,
@@ -248,6 +248,7 @@ def cmd_distance(args) -> int:
 
 def cmd_detect(args) -> int:
     start = time.perf_counter()
+    _check_eps_zero(args.eps_zero)  # before the inputs are read and solved
     clean = read_point_cloud(args.clean)
     dirty = read_point_cloud(args.dirty)
     gamma = SqEuclideanCost(clean, dirty)

@@ -34,6 +34,12 @@ class DetectionMetrics:
     inlier_specificity: float
 
 
+def _check_eps_zero(eps_zero: float) -> None:
+    """Reject a NaN threshold: no plan entry compares at most NaN, so it would flag nothing."""
+    if np.isnan(eps_zero):
+        raise ValueError("eps_zero must not be NaN")
+
+
 def detect_outliers(plan, eps_zero: float = 1e-12) -> OutlierReport:
     """Flag every column whose largest plan entry is at most ``eps_zero``.
 
@@ -41,8 +47,7 @@ def detect_outliers(plan, eps_zero: float = 1e-12) -> OutlierReport:
     iteration budget.  A degenerate all-zero plan flags every column
     (surfaced, not hidden).  A NaN ``eps_zero``, which flags nothing, raises ``ValueError``.
     """
-    if np.isnan(eps_zero):
-        raise ValueError("eps_zero must not be NaN")
+    _check_eps_zero(eps_zero)
     pi = _plan_data(plan)
     if isinstance(pi, PlanEntries):
         # Plan entries are nonnegative, so the zeros left out set the floor.
@@ -58,10 +63,10 @@ def baseline_detect(cost, z: float) -> OutlierReport:
     """Flag every column whose minimum cost strictly exceeds ``z``.
 
     Strict inequality: a point exactly at distance z is treated as an
-    inlier by this method.
+    inlier by this method.  A negative or NaN ``z`` raises ``ValueError``.
     """
     gamma = np.asarray(cost, dtype=float)
-    if z < 0.0:
+    if not z >= 0.0:
         raise ValueError(f"z must be nonnegative, got {z}")
     flagged = np.flatnonzero(gamma.min(axis=0) > z)
     return OutlierReport(flagged=[int(j) for j in flagged], n=gamma.shape[1], method=BASELINE)

@@ -228,12 +228,11 @@ def _holds_rows(out, rows: int) -> bool:
     return count == rows and last == b"\n"
 
 
-def write_point_cloud(path, points: np.ndarray, header: bool = True):
+def write_point_cloud(path, points: np.ndarray):
     """Write a point cloud with a coordinate header row (x0, x1, ...)."""
     points = np.asarray(points, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(",".join(f"x{i}" for i in range(points.shape[1])) + "\n")
+        fh.write(",".join(f"x{i}" for i in range(points.shape[1])) + "\n")
         _write_rows(fh, points)
 
 

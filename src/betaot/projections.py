@@ -1,4 +1,4 @@
-"""Dual-coordinate projection steps for the alternating scaling solver.
+"""Row and column projection steps on a dense dual, kept for the benchmark.
 
 The solver cycles projections onto three constraint sets: the nonnegative
 orthant (a dual clamp), the row-sum set (rows sum to 1/m), and the
@@ -7,37 +7,22 @@ single Newton-Raphson steps on the per-row / per-column Lagrange
 multipliers, truncated from below so that no plan entry can overshoot its
 marginal cap (1/m after a row step, 1/n after a column step).
 
-Every truncated step comes from one function, :func:`truncated_step`,
-which takes per line (row or column) the maximum of the clamped dual and
-the sums of ``psi'`` and ``psi''``, summed sequentially: one entry after
-another in row-major order, as ``np.bincount`` adds them.  The guarantee
-rests on the truncation bound, never on that order.
-:func:`solver.robust_solve` reduces its dual *before* the clamp: an
-entry at or below ``clamp_bound`` counts as clamped, and the maximum
-along a line is ``max(theta.max(axis), clamp_bound)``, which equals the
-maximum of the clamped dual bit for bit, so it keeps no clamped copy of
-its dual.  The row and column functions below are thin wrappers over the
-same arithmetic, sequential sums included, for a clamped dual.  They and
-:func:`clamp_dual` are not exported from ``betaot``; they stay here,
-public, because the tests' dense reference loop is built from them and
-the benchmark's per-layer spans (``perfbench/spans.py``) find them by
-module and name, so removing or renaming one turns its metric absent.
+:func:`solver.robust_solve` takes its steps from its own private
+half-step, which sums each line's ``psi'`` and ``psi''`` one entry after
+another in row-major order.  The row and column functions below are thin
+wrappers over the same arithmetic, sequential sums and guard included,
+for a clamped dual; nothing in the package calls them.  They and
+:func:`clamp_dual` stay only for the benchmark's per-layer spans
+(``perfbench/spans.py``), which find them by module and name, and for
+their own tests.
 
-Operations read their inputs and return fresh arrays.  Row subproblems
-are independent of one another, as are column subproblems, so
-vectorizing over rows/columns is safe.
+Operations read their inputs and return fresh arrays.
 """
 
 import numpy as np
 
-from .errors import DomainError
 from .potentials import Potential, phi_prime, psi_pair
-
-# A Newton denominator below this is treated as zero: the row/column is
-# entirely clamped and its decrement is pinned to the truncation lower
-# bound (the value an infinite Newton step would be truncated to), which
-# re-admits mass at the bounded per-iteration rate the budget accounts for.
-EPS_DENOMINATOR = 1e-12
+from .solver import _quotient
 
 
 def clamp_dual(theta_tilde, pot: Potential):
@@ -49,43 +34,9 @@ def clamp_dual(theta_tilde, pot: Potential):
     return np.maximum(np.asarray(theta_tilde, dtype=float), pot.clamp_bound)
 
 
-def _quotient(ps_sum, pss_sum, size: int, fallback):
-    num = ps_sum - 1.0 / size
-    return np.divide(num, pss_sum, out=fallback, where=pss_sum >= EPS_DENOMINATOR)
-
-
 def _truncation_bound(theta_star, pot: Potential, axis: int, size: int):
     """The line maxima of the clamped ``theta_star`` minus ``phi_prime(1/size)``."""
     return np.maximum(theta_star.max(axis=axis), pot.clamp_bound) - phi_prime(1.0 / size, pot)
-
-
-def truncated_step(theta_hat, ps_sum, pss_sum, cap: float, size: int):
-    """Truncated single Newton step from per-line reductions.
-
-    ``theta_hat`` holds the maxima of the clamped dual along each line
-    (never below ``clamp_bound``), ``ps_sum``/``pss_sum`` the sums of
-    ``psi'``/``psi''`` along it, ``size`` is the marginal's count (target
-    ``1/size``) and ``cap`` is ``phi_prime(1/size)``, which a caller can
-    compute once per solve.  The maximum serves both as the guard for fully
-    clamped lines and as the truncation lower bound, so every step is at
-    least ``clamp_bound - cap``.  See :func:`row_newton_decrement` and
-    :func:`truncate_row_decrement`.
-
-    Raises :class:`DomainError` when a step is not finite: the conjugate
-    overflowed on a dual entry far above the clamp bound, as a very
-    negative cost gives.  After a finite step every entry of the line is
-    at most ``phi_prime(1/size)``, so the steps are the only place where
-    an overflow shows.
-    """
-    lower = theta_hat - cap
-    step = _quotient(ps_sum, pss_sum, size, lower.copy())
-    np.maximum(step, lower, out=step)
-    if not np.isfinite(step).all():
-        raise DomainError(
-            "the beta conjugate overflowed: -cost/lambda is too large for "
-            "some entry; rescale the cost or increase lambda"
-        )
-    return step
 
 
 def _newton_decrement(theta_star, pot, axis, size):

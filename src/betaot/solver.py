@@ -13,9 +13,12 @@ Three solvers work in dual coordinates:
   dense or evaluated on demand, finds the remaining candidates.  When
   they are few, the loop runs on compressed arrays over them alone and
   allocates no m x n array; otherwise it runs on the dense dual.  Both
-  return the plan as its entries above the clamp bound and sum every
-  line of a half-step with ``bincount`` over the active entries in
-  row-major order, so they give bit-identical plans and diagnostics.
+  take every step from one half-step, :func:`_half_step`: it sums each
+  line's ``psi'`` and ``psi''`` with ``bincount`` over the active
+  entries in row-major order, and truncates the Newton step at
+  ``theta_hat - phi_prime(1/size)``, the bound behind the certificate.
+  Both return the plan as its entries above the clamp bound, so they
+  give bit-identical plans and diagnostics.
 - :func:`sinkhorn_solve` is the classical scaling method for the Shannon
   entropy, on a kernel whose offsets keep it from underflowing.
 - :func:`nasa_solve` is the alternating-projection loop for a cofinite
@@ -53,7 +56,6 @@ from .errors import (
 )
 from .potentials import SHANNON, Potential, beta_potential, phi_prime
 from .potentials import _psi_pair_inplace, _psi_prime_inplace
-from .projections import truncated_step
 
 
 @dataclass
@@ -142,6 +144,17 @@ def _check_lambda(lam: float) -> None:
         raise DomainError(f"lambda must be finite and positive, got {lam}")
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int: an ``Integral`` that is not a bool and is at least 1.
+
+    Anything else raises :class:`DomainError`; ``int()`` would truncate
+    2.5 to 2 and take True for 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DomainError(f"{name} must be >= 1 and an integer, got {value!r}")
+    return int(value)
+
+
 def _scaling_cost(cost, lam: float, tol: float, max_iter: int) -> np.ndarray:
     """The validated cost of a scaling solve, once its arguments are checked.
 
@@ -152,8 +165,7 @@ def _scaling_cost(cost, lam: float, tol: float, max_iter: int) -> np.ndarray:
     _check_lambda(lam)
     if not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _count("max_iter", max_iter)
     if not math.isfinite((float(gamma.max()) - float(gamma.min())) / lam):
         raise NumericalUnderflowError("the spread of cost/lam overflows the floats")
     return gamma
@@ -170,8 +182,9 @@ def iteration_budget(z: float, cfg: SolverConfig, m: int, n: int) -> IterationBu
     ------
     DomainError
         If ``beta`` is outside ``(1, inf)`` or ``lam`` outside ``(0, inf)``,
-        where the bound is undefined, or if ``z`` or the bound is not finite
-        (``z/lam`` can overflow; for a large beta the denominator can underflow).
+        where the bound is undefined, if ``m`` or ``n`` is not an integer
+        of at least 1, or if ``z`` or the bound is not finite (``z/lam``
+        can overflow; for a large beta the denominator can underflow).
     InfeasibleToleranceError
         If ``z <= lam / (beta - 1)``, where the bound is nonpositive.
     BudgetExhaustedError
@@ -181,6 +194,8 @@ def iteration_budget(z: float, cfg: SolverConfig, m: int, n: int) -> IterationBu
     beta, lam = cfg.beta, cfg.lam
     beta_potential(beta)  # raises DomainError outside (1, inf)
     _check_lambda(lam)
+    _count("m", m)
+    _count("n", n)
     if not math.isfinite(z):
         raise DomainError(f"the iteration budget requires a finite z, got {z}")
     if z <= lam / (beta - 1.0):
@@ -212,10 +227,7 @@ def _decrement_sum(beta: float, m: int, n: int) -> float:
 
 def _resolve_iterations(cfg: SolverConfig, m: int, n: int) -> int:
     if cfg.iterations is not None:
-        it = cfg.iterations
-        if isinstance(it, bool) or not isinstance(it, numbers.Integral) or it < 1:
-            raise DomainError(f"iterations must be an integer >= 1, got {it!r}")
-        return int(it)
+        return _count("iterations", cfg.iterations)
     if cfg.z is not None:
         return iteration_budget(cfg.z, cfg, m, n).budget
     raise ValueError("SolverConfig needs either iterations or z")
@@ -252,6 +264,53 @@ def _certified_cost(pot: Potential, lam: float, m: int, n: int, iterations: int)
     u = sys.float_info.epsilon / 2.0  # a Python float overflows to inf silently
     level = (abs(bound) + iterations * rise) * (1.0 + 8.0 * (iterations + 2) * u)
     return lam * level * (1.0 + 4.0 * u)
+
+
+# A Newton denominator below this is treated as zero (see _truncated_step).
+EPS_DENOMINATOR = 1e-12
+
+
+def _quotient(ps_sum, pss_sum, size: int, fallback):
+    """The Newton steps ``(ps_sum - 1/size) / pss_sum``, ``fallback`` where guarded."""
+    num = ps_sum - 1.0 / size
+    return np.divide(num, pss_sum, out=fallback, where=pss_sum >= EPS_DENOMINATOR)
+
+
+def _truncated_step(theta_hat, ps_sum, pss_sum, cap: float, size: int):
+    """Truncated single Newton step from per-line reductions.
+
+    ``theta_hat`` holds the maxima of the clamped dual along each line
+    (never below ``clamp_bound``), ``ps_sum``/``pss_sum`` the sums of
+    ``psi'``/``psi''`` along it, ``size`` is the marginal's count (target
+    ``1/size``) and ``cap`` is ``phi_prime(1/size)``.  The step is the
+    Newton step ``(ps_sum - 1/size) / pss_sum`` raised to at least
+    ``theta_hat - cap``, so that after it every entry of the line is at
+    most ``phi_prime(1/size)`` and carries at most ``1/size``.
+
+    A fully clamped line has a zero denominator (the conjugate's
+    curvature vanishes at the boundary) and a negative numerator, so its
+    raw step diverges to ``-inf``.  A denominator below
+    :data:`EPS_DENOMINATOR` pins the step to the truncation bound, the
+    value the divergent step would be truncated to.  That keeps the steps
+    finite and re-admits mass at the bounded per-iteration rate that
+    :func:`_certified_cost` and the iteration budget rest on: every step
+    is at least ``clamp_bound - cap``.
+
+    Raises :class:`DomainError` when a step is not finite: the conjugate
+    overflowed on a dual entry far above the clamp bound, as a very
+    negative cost gives.  After a finite step every entry of the line is
+    at most ``phi_prime(1/size)``, so the steps are the only place where
+    an overflow shows.
+    """
+    lower = theta_hat - cap
+    step = _quotient(ps_sum, pss_sum, size, lower.copy())
+    np.maximum(step, lower, out=step)
+    if not np.isfinite(step).all():
+        raise DomainError(
+            "the beta conjugate overflowed: -cost/lambda is too large for "
+            "some entry; rescale the cost or increase lambda"
+        )
+    return step
 
 
 # The candidate loop runs when at most this share of the dual entries
@@ -346,24 +405,26 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     _check_lambda(cfg.lam)
 
     found = _candidate_entries(gamma, _certified_cost(pot, cfg.lam, m, n, iterations))
+    caps = {size: phi_prime(1.0 / size, pot) for size in (m, n)}
     # An overflow of the conjugate makes a step non-finite, and
-    # truncated_step raises DomainError on it.
+    # _truncated_step raises DomainError on it.
     with np.errstate(over="ignore", invalid="ignore"):
         if found is None:
             if not isinstance(gamma, np.ndarray):
                 gamma = gamma.dense()
-            pi, costs = _dense_plan(gamma, pot, cfg.lam, iterations)
+            pi, costs = _dense_plan(gamma, pot, cfg.lam, iterations, caps)
         else:
-            pi, costs = _candidate_plan((m, n), *found, pot, cfg.lam, iterations)
+            pi, costs = _candidate_plan((m, n), *found, pot, cfg.lam, iterations, caps)
     return _plan_result(pi, _entries_value(pi, costs), iterations)
 
 
-def _dense_plan(gamma, pot, lam, iterations):
+def _dense_plan(gamma, pot, lam, iterations, caps):
     """The robust loop on the whole dual, the conjugate on its active entries.
 
-    Line sums come from ``bincount`` over the active entries in row-major
-    order, as in :func:`_candidate_plan`, and it returns what that does:
-    the :class:`PlanEntries` above the bound and the costs at them.
+    Each half-step finds the active entries and their rows or columns
+    from flat indices and takes the line maxima over the whole dual.
+    Returns what :func:`_candidate_plan` does: the :class:`PlanEntries`
+    above the bound and the costs at them.
     """
     m, n = gamma.shape
     bound = pot.clamp_bound
@@ -371,40 +432,34 @@ def _dense_plan(gamma, pot, lam, iterations):
     # an F-ordered cost such as gamma.T.
     theta = np.negative(gamma, order="C")
     theta /= lam
-    caps = {size: phi_prime(1.0 / size, pot) for size in (m, n)}
+    flat = theta.reshape(-1)
     for _ in range(iterations):
         for axis, size in ((1, m), (0, n)):
             active = np.flatnonzero(theta > bound)
-            ps, pss = _psi_pair_inplace(theta.reshape(-1)[active], pot)
             # Each entry's row or column; numpy divides by a scalar faster than % n.
             lines = active // n if axis == 1 else active - active // n * n
-            ps_sum = np.bincount(lines, weights=ps, minlength=size)
-            pss_sum = np.bincount(lines, weights=pss, minlength=size)
-            del active, lines, ps, pss  # before the next half-step allocates
             theta_hat = np.maximum(theta.max(axis=axis), bound)
-            step = truncated_step(theta_hat, ps_sum, pss_sum, caps[size], size)
+            step = _half_step(theta_hat, flat[active], lines, pot, caps[size], size)
+            del active, lines  # before the next half-step allocates
             theta -= np.expand_dims(step, axis)
-    active = np.flatnonzero(theta > bound)
-    plan = PlanEntries((m, n), active, _psi_prime_inplace(theta.reshape(-1)[active], pot))
     # take flattens in C order, so an F-ordered cost gives the same costs.
-    return plan, np.take(gamma, active)
+    return _plan_entries((m, n), flat, pot, None, gamma)
 
 
-def _candidate_plan(shape, index, costs, pot, lam, iterations):
+def _candidate_plan(shape, index, costs, pot, lam, iterations, caps):
     """The robust loop on the entries at the sorted row-major flat ``index``.
 
     ``costs`` holds their costs.  Every other entry stays clamped (see
     :func:`_certified_cost`).  The line maxima and sums equal the dense
     loop's bit for bit: a maximum does not depend on order, and both
-    loops sum with ``bincount`` over the active entries in row-major
-    order.  Returns the :class:`PlanEntries` of the plan and the costs
-    at its entries.
+    loops sum with :func:`_half_step` over the active entries in
+    row-major order.  Returns the :class:`PlanEntries` of the plan and
+    the costs at its entries.
     """
     m, n = shape
     bound = pot.clamp_bound
     rows, cols = np.divmod(index, n)
     theta = -costs / lam
-    caps = {size: phi_prime(1.0 / size, pot) for size in (m, n)}
     for _ in range(iterations):
         for lines, size in ((rows, m), (cols, n)):
             active = np.flatnonzero(theta > bound)
@@ -412,14 +467,34 @@ def _candidate_plan(shape, index, costs, pot, lam, iterations):
             on = lines[active]
             theta_hat = np.full(size, bound)
             np.maximum.at(theta_hat, on, values)
-            ps, pss = _psi_pair_inplace(values, pot)
-            ps_sum = np.bincount(on, weights=ps, minlength=size)
-            pss_sum = np.bincount(on, weights=pss, minlength=size)
-            theta -= truncated_step(theta_hat, ps_sum, pss_sum, caps[size], size)[lines]
+            theta -= _half_step(theta_hat, values, on, pot, caps[size], size)[lines]
+    return _plan_entries(shape, theta, pot, index, costs)
 
-    active = np.flatnonzero(theta > bound)
-    plan = PlanEntries(shape, index[active], _psi_prime_inplace(theta[active], pot))
-    return plan, costs[active]
+
+def _half_step(theta_hat, values, lines, pot, cap, size):
+    """The truncated steps of one half-step, one per row or column.
+
+    ``values`` are the dual's active entries (above the bound) in
+    row-major order, consumed in place, and ``lines`` their rows or
+    columns; ``theta_hat`` holds the line maxima of the clamped dual.
+    Each line's ``psi'`` and ``psi''`` are summed with ``bincount``, one
+    entry after another.
+    """
+    ps, pss = _psi_pair_inplace(values, pot)
+    ps_sum = np.bincount(lines, weights=ps, minlength=size)
+    pss_sum = np.bincount(lines, weights=pss, minlength=size)
+    return _truncated_step(theta_hat, ps_sum, pss_sum, cap, size)
+
+
+def _plan_entries(shape, theta, pot, index, costs):
+    """The :class:`PlanEntries` of the flat dual ``theta`` above the bound and their costs.
+
+    ``theta``'s entries sit at the flat ``index`` (None: at every flat
+    index) and cost ``costs``, which may be the m x n cost.
+    """
+    active = np.flatnonzero(theta > pot.clamp_bound)
+    at = active if index is None else index[active]
+    return PlanEntries(shape, at, _psi_prime_inplace(theta[active], pot)), np.take(costs, active)
 
 
 def sinkhorn_solve(
@@ -609,9 +684,12 @@ def marginal_residuals(plan, m: int, n: int) -> tuple[float, float]:
     row-major order: ``bincount`` over a plan's entries, a
     ``cumsum`` over a few rows of a dense plan (or of its transpose) at
     a time.  The two forms give the same residuals, whatever the shape
-    or memory order, and the rule depends on no numpy release.
+    or memory order, and the rule depends on no numpy release.  Raises
+    :class:`DimensionMismatchError` unless ``(m, n)`` is the plan's shape.
     """
     pi = _plan_data(plan)
+    if pi.shape != (m, n):
+        raise DimensionMismatchError(f"plan shape {pi.shape} != marginal sizes {(m, n)}")
     if isinstance(pi, PlanEntries):
         rows, cols = np.divmod(pi.index, pi.shape[1])
         row_sums = np.bincount(rows, weights=pi.values, minlength=pi.shape[0])

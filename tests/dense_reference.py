@@ -23,8 +23,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from betaot import beta_potential, phi_prime
-from betaot.projections import EPS_DENOMINATOR, apply_col, apply_row, clamp_dual
-from betaot.solver import _check_lambda, _stop_residual, _validate_cost
+from betaot.solver import EPS_DENOMINATOR, _check_lambda, _stop_residual, _validate_cost
 
 
 def init_dual(cost, lam: float) -> np.ndarray:
@@ -94,14 +93,14 @@ def dense_robust_duals(gamma, beta, lam, iterations, sums=sequential_sums):
     # C order, so that ``sums=np.sum`` reduces a row as numpy sums a
     # C-ordered matrix.
     theta_tilde = np.ascontiguousarray(-gamma / lam)
-    theta_star = clamp_dual(theta_tilde, pot)
+    theta_star = np.maximum(theta_tilde, pot.clamp_bound)
     yield theta_star
     for _ in range(iterations):
-        theta_tilde = apply_row(theta_tilde, _dense_decrement(theta_star, pot, 1, m, sums))
-        theta_star = clamp_dual(theta_tilde, pot)
+        theta_tilde = theta_tilde - _dense_decrement(theta_star, pot, 1, m, sums)[:, None]
+        theta_star = np.maximum(theta_tilde, pot.clamp_bound)
         yield theta_star
-        theta_tilde = apply_col(theta_tilde, _dense_decrement(theta_star, pot, 0, n, sums))
-        theta_star = clamp_dual(theta_tilde, pot)
+        theta_tilde = theta_tilde - _dense_decrement(theta_star, pot, 0, n, sums)[None, :]
+        theta_star = np.maximum(theta_tilde, pot.clamp_bound)
         yield theta_star
 
 

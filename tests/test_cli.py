@@ -557,6 +557,15 @@ class TestDetect:
         assert capsys.readouterr().err == "error: eps_zero must not be NaN\n"
         assert not out.exists()
 
+    def test_nan_eps_zero_is_rejected_before_any_input_is_read(self, tmp_path, capsys):
+        # The threshold is checked first: no file is read, no z estimated, nothing solved.
+        _, dirty_path, _ = self._write_clouds(tmp_path)
+        out = tmp_path / "rep.txt"
+        assert run_cli("detect", "--clean", tmp_path / "missing.csv", "--dirty", dirty_path,
+                       "--eps-zero", "nan", "--out", out) == 2
+        assert capsys.readouterr().err == "error: eps_zero must not be NaN\n"
+        assert not out.exists()
+
     def test_budget_infeasible_without_rescale_exits_three(self, tmp_path):
         clean_path, dirty_path, _ = self._write_clouds(tmp_path, seed=2)
         # the estimated tolerance for a unit cluster sits below lambda/(beta-1)
@@ -692,6 +701,18 @@ class TestStartup:
         assert here.pop("plan_out") == str(plan_path)
         assert there.pop("plan_out") == str(fresh)
         assert here == there
+
+    def test_importing_the_package_loads_no_projections(self):
+        """The solver owns its half-step; the projection wrappers load only on request."""
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import betaot; "
+            "package = 'betaot.projections' in sys.modules; import betaot.cli; "
+            "print(package, 'betaot.projections' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, str(SRC)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
 
     def test_cdist_is_imported_and_called_only_by_the_lazy_cost(self):
         """One ``cdist`` site in the package, in ``SqEuclideanCost.__getitem__``."""

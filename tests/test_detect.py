@@ -61,6 +61,11 @@ class TestBaseline:
         with pytest.raises(ValueError):
             baseline_detect(np.array([[1.0]]), z=-1.0)
 
+    def test_rejects_nan_tolerance(self):
+        # No cost compares above NaN: it would flag nothing, silently.
+        with pytest.raises(ValueError, match="z must be nonnegative, got nan"):
+            baseline_detect(np.array([[1.0, 100.0]]), z=np.nan)
+
 
 class TestMetrics:
     def test_perfect_detection(self):

@@ -166,13 +166,13 @@ class TestWritersMatchFormatValue:
         assert _written(write_matrix, mat) == _per_entry(mat).encode("utf-8")
 
     @settings(max_examples=100, deadline=None)
-    @given(matrices(), st.booleans())
-    @example(np.zeros((0, 3)), True)
-    @example(np.zeros((3, 0)), True)
-    def test_point_cloud(self, points, header):
-        head = ",".join(f"x{i}" for i in range(points.shape[1])) + "\n" if header else ""
+    @given(matrices())
+    @example(np.zeros((0, 3)))
+    @example(np.zeros((3, 0)))
+    def test_point_cloud(self, points):
+        head = ",".join(f"x{i}" for i in range(points.shape[1])) + "\n"
         expected = (head + _per_entry(points)).encode("utf-8")
-        assert _written(write_point_cloud, points, header=header) == expected
+        assert _written(write_point_cloud, points) == expected
 
 
 @contextlib.contextmanager
@@ -223,14 +223,14 @@ class TestWritersInHelpersMatchFormatValue:
         assert _in_helpers(write_matrix, mat) == _per_entry(mat).encode("utf-8")
 
     @settings(max_examples=50, deadline=None)
-    @given(matrices(), st.booleans())
-    @example(np.zeros((0, 3)), True)
-    @example(np.zeros((3, 0)), True)
-    @example(np.array(EDGE_VALUES).reshape(8, 2), True)
-    def test_point_cloud(self, points, header):
-        head = ",".join(f"x{i}" for i in range(points.shape[1])) + "\n" if header else ""
+    @given(matrices())
+    @example(np.zeros((0, 3)))
+    @example(np.zeros((3, 0)))
+    @example(np.array(EDGE_VALUES).reshape(8, 2))
+    def test_point_cloud(self, points):
+        head = ",".join(f"x{i}" for i in range(points.shape[1])) + "\n"
         expected = (head + _per_entry(points)).encode("utf-8")
-        assert _in_helpers(write_point_cloud, points, header=header) == expected
+        assert _in_helpers(write_point_cloud, points) == expected
 
 
 def _plan(m, n):

@@ -1,8 +1,13 @@
-"""Dual-coordinate projection steps: clamps, Newton decrements, truncation."""
+"""Dual-coordinate projection steps: clamps, Newton decrements, truncation.
+
+The step tests run every truncated step twice: through the row and
+column wrappers of ``betaot.projections`` and through the solver's own
+half-step, as its dense loop takes it.
+"""
 
 import numpy as np
 import pytest
-from dense_reference import _dense_decrement, dense_psi_pair, sequential_sums
+from dense_reference import _dense_decrement
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +20,8 @@ from betaot.projections import (
     row_newton_decrement,
     truncate_col_decrement,
     truncate_row_decrement,
-    truncated_step,
 )
+from betaot.solver import _half_step
 
 
 class TestClampDual:
@@ -143,52 +148,74 @@ class TestColumnMirrors:
             )
 
 
+def wrapper_step(theta, pot, axis, size):
+    """Newton step plus truncation along ``axis`` through the wrappers, on the clamped dual."""
+    theta_star = clamp_dual(theta, pot)
+    decrement, truncate = (
+        (row_newton_decrement, truncate_row_decrement)
+        if axis == 1
+        else (col_newton_decrement, truncate_col_decrement)
+    )
+    return truncate(decrement(theta_star, pot, size), theta_star, pot, size)
+
+
+def solver_step(theta, pot, axis, size):
+    """The solver's half-step on the unclamped dual ``theta``, as its dense loop takes it."""
+    flat = np.ascontiguousarray(theta, dtype=float).reshape(-1)
+    active = np.flatnonzero(flat > pot.clamp_bound)
+    lines = np.divmod(active, theta.shape[1])[1 - axis]
+    theta_hat = np.maximum(theta.max(axis=axis), pot.clamp_bound)
+    return _half_step(theta_hat, flat[active], lines, pot, phi_prime(1.0 / size, pot), size)
+
+
+STEPS = (wrapper_step, solver_step)
+
+
 class TestStepProperties:
     def test_cap_enforcement_after_full_row_step(self):
         """Post-step clamped entries <= phi'(1/m), so plan entries <= 1/m."""
-        rng = np.random.default_rng(42)
-        for _ in range(30):
-            b = rng.uniform(1.1, 2.5)
-            pot = beta_potential(b)
-            m, n = rng.integers(2, 12, size=2)
-            theta_tilde = rng.uniform(pot.domain_lower_dual - 3.0, 3.0, (m, n))
-            theta_star = clamp_dual(theta_tilde, pot)
-            tau = row_newton_decrement(theta_star, pot, m)
-            tau = truncate_row_decrement(tau, theta_star, pot, m)
-            theta_star_new = clamp_dual(apply_row(theta_tilde, tau), pot)
-            assert np.all(theta_star_new <= phi_prime(1.0 / m, pot) + 1e-12)
-            assert np.all(psi_prime(theta_star_new, pot) <= 1.0 / m + 1e-12)
+        for step in STEPS:
+            rng = np.random.default_rng(42)
+            for _ in range(30):
+                b = rng.uniform(1.1, 2.5)
+                pot = beta_potential(b)
+                m, n = rng.integers(2, 12, size=2)
+                theta_tilde = rng.uniform(pot.domain_lower_dual - 3.0, 3.0, (m, n))
+                tau = step(theta_tilde, pot, 1, m)
+                theta_star_new = clamp_dual(apply_row(theta_tilde, tau), pot)
+                assert np.all(theta_star_new <= phi_prime(1.0 / m, pot) + 1e-12)
+                assert np.all(psi_prime(theta_star_new, pot) <= 1.0 / m + 1e-12)
 
     def test_cap_enforcement_after_full_col_step(self):
-        rng = np.random.default_rng(43)
-        for _ in range(30):
-            b = rng.uniform(1.1, 2.5)
-            pot = beta_potential(b)
-            m, n = rng.integers(2, 12, size=2)
-            theta_tilde = rng.uniform(pot.domain_lower_dual - 3.0, 3.0, (m, n))
-            theta_star = clamp_dual(theta_tilde, pot)
-            sigma = col_newton_decrement(theta_star, pot, n)
-            sigma = truncate_col_decrement(sigma, theta_star, pot, n)
-            theta_star_new = clamp_dual(apply_col(theta_tilde, sigma), pot)
-            assert np.all(psi_prime(theta_star_new, pot) <= 1.0 / n + 1e-12)
+        for step in STEPS:
+            rng = np.random.default_rng(43)
+            for _ in range(30):
+                b = rng.uniform(1.1, 2.5)
+                pot = beta_potential(b)
+                m, n = rng.integers(2, 12, size=2)
+                theta_tilde = rng.uniform(pot.domain_lower_dual - 3.0, 3.0, (m, n))
+                sigma = step(theta_tilde, pot, 0, n)
+                theta_star_new = clamp_dual(apply_col(theta_tilde, sigma), pot)
+                assert np.all(psi_prime(theta_star_new, pot) <= 1.0 / n + 1e-12)
 
     def test_single_step_exact_for_quadratic_generator(self):
         """Affine conjugate derivative: one untruncated step fixes row sums."""
-        rng = np.random.default_rng(44)
         pot = beta_potential(2.0)
-        for _ in range(20):
-            m, n = rng.integers(2, 10, size=2)
-            # plan entries near 1/(mn) keep the step clamp-free
-            p = rng.uniform(0.9, 1.1, size=(m, n)) / (m * n)
-            theta_tilde = phi_prime(p, pot)
-            theta_star = clamp_dual(theta_tilde, pot)
-            np.testing.assert_array_equal(theta_star, theta_tilde)
-            tau = row_newton_decrement(theta_star, pot, m)
-            truncated = truncate_row_decrement(tau, theta_star, pot, m)
-            np.testing.assert_array_equal(truncated, tau)
-            updated = clamp_dual(apply_row(theta_tilde, tau), pot)
-            rows = psi_prime(updated, pot).sum(axis=1)
-            np.testing.assert_allclose(rows, 1.0 / m, atol=1e-12)
+        for step in STEPS:
+            rng = np.random.default_rng(44)
+            for _ in range(20):
+                m, n = rng.integers(2, 10, size=2)
+                # plan entries near 1/(mn) keep the step clamp-free
+                p = rng.uniform(0.9, 1.1, size=(m, n)) / (m * n)
+                theta_tilde = phi_prime(p, pot)
+                theta_star = clamp_dual(theta_tilde, pot)
+                np.testing.assert_array_equal(theta_star, theta_tilde)
+                tau = step(theta_tilde, pot, 1, m)
+                # The truncation leaves the Newton step as it is.
+                np.testing.assert_array_equal(tau, row_newton_decrement(theta_star, pot, m))
+                updated = clamp_dual(apply_row(theta_tilde, tau), pot)
+                rows = psi_prime(updated, pot).sum(axis=1)
+                np.testing.assert_allclose(rows, 1.0 / m, atol=1e-12)
 
 
 @st.composite
@@ -209,28 +236,12 @@ def clamped_duals(draw):
 class TestDecrementMatchesDenseStep:
     """Newton step plus truncation, bit for bit against the dense reference."""
 
-    @pytest.mark.parametrize(
-        "axis, decrement, truncate",
-        [
-            (1, row_newton_decrement, truncate_row_decrement),
-            (0, col_newton_decrement, truncate_col_decrement),
-        ],
-        ids=["rows", "columns"],
-    )
+    @pytest.mark.parametrize("axis", [1, 0], ids=["rows", "columns"])
     @settings(max_examples=150, deadline=None)
     @given(instance=clamped_duals())
-    def test_matches_dense_step(self, axis, decrement, truncate, instance):
+    def test_matches_dense_step(self, axis, instance):
         pot, theta = instance
-        theta_star = clamp_dual(theta, pot)
         size = theta.shape[1 - axis]
-        expected = _dense_decrement(theta_star, pot, axis, size)
-        step = truncate(decrement(theta_star, pot, size), theta_star, pot, size)
-        assert np.array_equal(step, expected)
-        # The robust solver's reductions: the unclamped dual's line maxima
-        # floored at the bound, and sequential psi'/psi'' sums.
-        ps, pss = dense_psi_pair(theta_star, pot)
-        theta_hat = np.maximum(theta.max(axis=axis), pot.clamp_bound)
-        cap = phi_prime(1.0 / size, pot)
-        sums = sequential_sums(ps, axis), sequential_sums(pss, axis)
-        step = truncated_step(theta_hat, *sums, cap, size)
-        assert np.array_equal(step, expected)
+        expected = _dense_decrement(clamp_dual(theta, pot), pot, axis, size)
+        for step in STEPS:
+            assert np.array_equal(step(theta, pot, axis, size), expected), step.__name__

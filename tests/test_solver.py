@@ -35,6 +35,7 @@ from betaot import (
     iteration_budget,
     marginal_residuals,
     nasa_solve,
+    phi_prime,
     robust_solve,
     shannon,
     sinkhorn_solve,
@@ -59,6 +60,12 @@ def _candidates(gamma, level):
     """Flat indices of the candidate loop's entries, or None when the dense loop runs."""
     found = _candidate_entries(gamma, level)
     return None if found is None else found[0]
+
+
+def _dense_entries(gamma, pot, lam, iterations):
+    """``_dense_plan``'s entries and costs, with the caps ``robust_solve`` passes it."""
+    caps = {size: phi_prime(1.0 / size, pot) for size in gamma.shape}
+    return _dense_plan(gamma, pot, lam, iterations, caps)
 
 
 def _loop(cost, cfg):
@@ -152,6 +159,19 @@ class TestIterationBudget:
         # z/lam overflows to inf, which math.ceil cannot convert
         with pytest.raises(DomainError, match="not finite"):
             iteration_budget(1e10, SolverConfig(beta=1.2, lam=1e-300), 3, 3)
+
+    @pytest.mark.parametrize("m, n", [(0, 5), (5, 0), (-1, 5), (2.5, 5), (5, True),
+                                      (np.float64(3.0), 5)])
+    def test_sizes_that_are_not_counts_raise(self, m, n):
+        # 0 divided by zero, -1 gave a complex power, 2.5 a bound for no shape.
+        with pytest.raises(DomainError, match="must be >= 1 and an integer"):
+            iteration_budget(100.0, SolverConfig(), m, n)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        cfg = SolverConfig(beta=1.2, lam=2.0)
+        assert iteration_budget(100.0, cfg, np.int64(1000), 1000) == iteration_budget(
+            100.0, cfg, 1000, 1000
+        )
 
     def test_underflowing_denominator_raises(self):
         # (1/30)^399 + (1/30)^399 underflows to 0: the bound would divide by zero.
@@ -318,6 +338,18 @@ class TestSinkhorn:
             with pytest.raises(ValueError, match="max_iter must be >= 1"):
                 sinkhorn_solve(np.zeros((2, 2)), 1.0, max_iter=max_iter)
 
+    @pytest.mark.parametrize("max_iter", [2.5, True, np.float64(3.0)])
+    def test_rejects_iteration_caps_that_are_not_integers(self, max_iter):
+        # 2.5 ran 3 iterations and True ran 1.
+        gamma = np.random.default_rng(6).uniform(0.0, 1.0, (4, 5))
+        with pytest.raises(DomainError, match="max_iter must be >= 1 and an integer"):
+            sinkhorn_solve(gamma, 0.5, tol=0.0, max_iter=max_iter)
+
+    def test_numpy_integer_iteration_cap_is_accepted(self):
+        gamma = np.random.default_rng(6).uniform(0.0, 1.0, (4, 5))
+        plan = sinkhorn_solve(gamma, 0.5, tol=0.0, max_iter=np.int64(3))
+        assert plan.iterations_run == 3
+
     @pytest.mark.parametrize("tol", [-1.0, math.nan])
     def test_rejects_negative_or_nan_tolerance(self, tol):
         for pot in (shannon(), squared_euclidean()):
@@ -424,6 +456,14 @@ class TestNasaSolve:
             with pytest.raises(ValueError, match="max_iter must be >= 1"):
                 nasa_solve(np.zeros((2, 2)), 1.0, squared_euclidean(), max_iter=max_iter)
 
+    @pytest.mark.parametrize("max_iter", [2.5, True, np.float64(3.0)])
+    def test_rejects_iteration_caps_that_are_not_integers(self, max_iter):
+        # range() raised an untyped TypeError on 2.5 and 3.0; True ran 1 cycle.
+        gamma = np.random.default_rng(6).uniform(0.0, 1.0, (4, 5))
+        for pot in (shannon(), squared_euclidean()):
+            with pytest.raises(DomainError, match="max_iter must be >= 1 and an integer"):
+                nasa_solve(gamma, 0.5, pot, tol=0.0, max_iter=max_iter)
+
     def test_quadratic_generator_reaches_feasibility(self):
         rng = np.random.default_rng(72)
         gamma = rng.uniform(0.0, 1.0, size=(6, 8))
@@ -513,6 +553,16 @@ class TestDiagnostics:
         one_dead_column = np.array([[0.25, 0.0], [0.25, 0.0]])
         _, col = marginal_residuals(one_dead_column, 2, 2)
         assert col == 0.5  # the missing column contributes exactly 1/n
+
+    def test_marginal_residuals_sizes_must_match_the_plan(self):
+        # Swapped sizes gave residuals of a plan it was not; 0 divided by zero.
+        plan = sinkhorn_solve(np.random.default_rng(4).uniform(0.0, 1.0, (6, 7)), 0.5)
+        entries = PlanEntries((6, 7), np.arange(42), plan.pi.reshape(-1))
+        for pi in (plan, plan.pi, entries):
+            for m, n in ((7, 6), (0, 7), (6, 8)):
+                with pytest.raises(DimensionMismatchError, match="marginal sizes"):
+                    marginal_residuals(pi, m, n)
+            assert marginal_residuals(pi, 6, 7) == (plan.row_residual_l1, plan.col_residual_l1)
 
 
 @st.composite
@@ -679,7 +729,7 @@ class TestCertifiedCost:
         plan = robust_solve(gamma, SolverConfig(beta=1.2, lam=2.0, iterations=12))
         assert np.array_equal(plan.pi, pi)
         assert plan.value == value
-        entries, costs = _dense_plan(gamma, beta_potential(1.2), 2.0, 12)
+        entries, costs = _dense_entries(gamma, beta_potential(1.2), 2.0, 12)
         assert np.array_equal(_densify(entries), pi)
         assert np.array_equal(costs, gamma.reshape(-1)[entries.index])
         assert np.count_nonzero(pi, axis=1).max() >= 10
@@ -702,7 +752,7 @@ class TestCertifiedCost:
             assert plan.value == value
             residuals = marginal_residuals(pi, m, 1)
             assert _bits(plan.row_residual_l1, plan.col_residual_l1) == _bits(*residuals)
-            assert np.array_equal(_densify(_dense_plan(gamma, pot, 1.0, 6)[0]), pi)
+            assert np.array_equal(_densify(_dense_entries(gamma, pot, 1.0, 6)[0]), pi)
             pairwise, _ = dense_robust_solve(gamma, 1.2, 1.0, 6, sums=np.sum)
             assert not np.array_equal(pairwise, pi)
 
