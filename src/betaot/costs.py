@@ -35,7 +35,7 @@ from .errors import (
     InfeasibleToleranceError,
 )
 from .solver import _BLOCK_ROWS, SolverConfig, iteration_budget
-from .solver import _decrement_sum, _validate_cost
+from .solver import _count, _decrement_sum, _validate_cost
 
 # Offset added to the inverted budget target so the re-evaluated bound
 # lands strictly above the integer target instead of exactly on it
@@ -107,8 +107,8 @@ class SqEuclideanCost:
         """The m x n cost matrix."""
         return self[:]
 
-    def check_finite(self) -> None:
-        """Raise ``ValueError`` unless every cost is finite.
+    def check_finite(self) -> "SqEuclideanCost":
+        """This cost; raise ``ValueError`` unless every entry is finite.
 
         The error is the one ``robust_solve`` raises for a dense cost.
         When the bound ``d * (max|x| + max|y|)^2`` times the scales is
@@ -122,14 +122,15 @@ class SqEuclideanCost:
         if not bound < _FINITE_BOUND:
             for start in range(0, self.shape[0], _BLOCK_ROWS):
                 _validate_cost(self[start:start + _BLOCK_ROWS])
+        return self
 
 
 def median_threshold(cost) -> float:
-    """Median of all cost entries (midpoint of the central pair when even)."""
-    gamma = np.asarray(cost, dtype=float)
-    if gamma.size == 0:
-        raise ValueError("cost matrix is empty")
-    return float(np.median(gamma))
+    """Median of all cost entries (midpoint of the central pair when even).
+
+    An empty, non-2-D or non-finite cost raises :class:`DimensionMismatchError` or ``ValueError``.
+    """
+    return float(np.median(_validate_cost(cost)))
 
 
 def _nearest_rank(values: np.ndarray, percentile: float) -> float:
@@ -178,16 +179,16 @@ def auto_scale(cost, z: float, cfg: SolverConfig, target_range: tuple[int, int])
     Returns ``(scale, scaled_cost, scaled_z)``.  When the unscaled budget
     is already inside the range, returns scale 1 and the inputs unchanged.
     A :class:`SqEuclideanCost` comes back rescaled and still unevaluated.
+    An empty, non-2-D or non-finite dense cost raises :class:`DimensionMismatchError`
+    or ``ValueError``, and range ends that are not counts :class:`DomainError`.
     """
     lazy = isinstance(cost, SqEuclideanCost)
-    gamma = cost if lazy else np.asarray(cost, dtype=float)
-    if not lazy and (gamma.ndim != 2 or gamma.size == 0):
-        raise DimensionMismatchError("cost must be a nonempty 2-D matrix")
+    gamma = cost if lazy else _validate_cost(cost)
     if not z > 0.0:
         raise ValueError(f"z must be positive, got {z}")
-    lo, hi = int(target_range[0]), int(target_range[1])
-    if lo > hi or lo < 1:
-        raise ValueError(f"target range [{lo}, {hi}] must be nonempty with lo >= 1")
+    lo, hi = (_count("target_range", end) for end in target_range)
+    if lo > hi:
+        raise ValueError(f"target range [{lo}, {hi}] must be nonempty")
     m, n = gamma.shape
 
     try:

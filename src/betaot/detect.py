@@ -7,11 +7,12 @@ point at cost >= z from all sources, so the rule needs no threshold
 tuning; ``eps_zero`` exists only as floating-point hygiene for user data.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import PlanEntries, _plan_data
+from .solver import PlanEntries, _plan_data, _validate_cost
 
 ZERO_COLUMN = "zero_column"
 BASELINE = "baseline"
@@ -45,7 +46,8 @@ def detect_outliers(plan, eps_zero: float = 1e-12) -> OutlierReport:
 
     The caller is responsible for having produced the plan within a valid
     iteration budget.  A degenerate all-zero plan flags every column
-    (surfaced, not hidden).  A NaN ``eps_zero``, which flags nothing, raises ``ValueError``.
+    (surfaced, not hidden).  A NaN ``eps_zero``, which flags nothing, raises ``ValueError``,
+    a non-finite plan array too, an empty or non-2-D one :class:`DimensionMismatchError`.
     """
     _check_eps_zero(eps_zero)
     pi = _plan_data(plan)
@@ -63,9 +65,10 @@ def baseline_detect(cost, z: float) -> OutlierReport:
     """Flag every column whose minimum cost strictly exceeds ``z``.
 
     Strict inequality: a point exactly at distance z is treated as an
-    inlier by this method.  A negative or NaN ``z`` raises ``ValueError``.
+    inlier by this method.  A negative or NaN ``z`` or a non-finite cost
+    raises ``ValueError``, an empty or non-2-D cost :class:`DimensionMismatchError`.
     """
-    gamma = np.asarray(cost, dtype=float)
+    gamma = _validate_cost(cost)
     if not z >= 0.0:
         raise ValueError(f"z must be nonnegative, got {z}")
     flagged = np.flatnonzero(gamma.min(axis=0) > z)
@@ -77,20 +80,16 @@ def detection_metrics(report: OutlierReport, truth) -> DetectionMetrics:
 
     Recall is the fraction of true outliers flagged (1 when there are
     none); specificity is the fraction of true inliers left unflagged
-    (1 when every point is an outlier).
+    (1 when every point is an outlier).  A truth index that is not an
+    integer (a bool is not) in [0, n) raises ``ValueError``.
     """
+    truth = list(truth)
+    if not all(isinstance(j, numbers.Integral) and not isinstance(j, bool) and 0 <= j < report.n
+               for j in truth):
+        raise ValueError(f"truth indices must be integers in [0, {report.n}), not bools or floats")
     truth_set = {int(j) for j in truth}
-    if truth_set and (min(truth_set) < 0 or max(truth_set) >= report.n):
-        raise ValueError("truth indices must lie in [0, n)")
     flagged_set = set(report.flagged)
     n_inliers = report.n - len(truth_set)
-    if truth_set:
-        recall = len(flagged_set & truth_set) / len(truth_set)
-    else:
-        recall = 1.0
-    if n_inliers > 0:
-        false_flags = len(flagged_set - truth_set)
-        specificity = (n_inliers - false_flags) / n_inliers
-    else:
-        specificity = 1.0
+    recall = len(flagged_set & truth_set) / len(truth_set) if truth_set else 1.0
+    specificity = (n_inliers - len(flagged_set - truth_set)) / n_inliers if n_inliers > 0 else 1.0
     return DetectionMetrics(outlier_recall=recall, inlier_specificity=specificity)

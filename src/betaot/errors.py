@@ -30,7 +30,7 @@ class UnsupportedGeneratorError(BetaOTError, ValueError):
 
 
 class NumericalUnderflowError(BetaOTError, ArithmeticError):
-    """A solve left the floats: the spread of ``cost/lam`` or a scaling overflowed."""
+    """A solve left the floats: the spread of ``cost/lam``, a scaling or the LP overflowed."""
 
 
 class SizeError(BetaOTError, ValueError):

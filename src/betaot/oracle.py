@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeError
+from .errors import NumericalUnderflowError, SizeError
+from .solver import _validate_cost
 
 MAX_CELLS = 10**6
 BRUTE_FORCE_MAX = 7
@@ -35,12 +36,11 @@ def exact_ot(cost) -> ExactSolution:
 
     Square instances go through the Hungarian-style assignment solver;
     rectangular ones through an LP (HiGHS) over the transport polytope.
-    This is a test oracle: instances beyond ``MAX_CELLS`` cells are
-    rejected.
+    This is a test oracle: instances beyond ``MAX_CELLS`` cells raise :class:`SizeError`,
+    an empty, non-2-D or non-finite cost :class:`DimensionMismatchError` or ``ValueError``,
+    and an LP that HiGHS fails to solve :class:`NumericalUnderflowError`.
     """
-    gamma = np.asarray(cost, dtype=float)
-    if gamma.ndim != 2 or gamma.size == 0:
-        raise ValueError("cost must be a nonempty 2-D matrix")
+    gamma = _validate_cost(cost)
     m, n = gamma.shape
     if m * n > MAX_CELLS:
         raise SizeError(f"instance with {m * n} cells exceeds the oracle cap {MAX_CELLS}")
@@ -72,7 +72,7 @@ def _exact_ot_lp(gamma: np.ndarray) -> ExactSolution:
     b_eq = np.concatenate([np.full(m, 1.0 / m), np.full(n, 1.0 / n)])
     res = linprog(gamma.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
+        raise NumericalUnderflowError(f"transport LP failed: {res.message}")
     plan = res.x.reshape(m, n)
     return ExactSolution(value=float(res.fun), plan=plan)
 
@@ -82,10 +82,11 @@ def exact_ot_bruteforce(cost) -> ExactSolution:
 
     Independent of the assignment path on purpose.  Ties are broken by the
     lexicographically smallest permutation (the enumeration order with
-    strict improvement keeps the first optimum).
+    strict improvement keeps the first optimum).  Costs follow :func:`exact_ot`'s
+    rule, and a cost that is not square raises ``ValueError``.
     """
-    gamma = np.asarray(cost, dtype=float)
-    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
+    gamma = _validate_cost(cost)
+    if gamma.shape[0] != gamma.shape[1]:
         raise ValueError("brute force requires a square cost matrix")
     n = gamma.shape[0]
     if n > BRUTE_FORCE_MAX:

@@ -130,12 +130,13 @@ class IterationBudget:
     budget: int
 
 
-def _validate_cost(cost) -> np.ndarray:
+def _validate_cost(cost, noun: str = "cost") -> np.ndarray:
+    """The input rule for a cost or plan (``noun``): a nonempty finite 2-D float array."""
     gamma = np.asarray(cost, dtype=float)
     if gamma.ndim != 2 or gamma.size == 0:
-        raise DimensionMismatchError("cost must be a nonempty 2-D matrix")
+        raise DimensionMismatchError(f"{noun} must be a nonempty 2-D matrix")
     if not np.all(np.isfinite(gamma)):
-        raise ValueError("cost matrix must be finite (no NaN/Inf)")
+        raise ValueError(f"{noun} matrix must be finite (no NaN/Inf)")
     return gamma
 
 
@@ -394,11 +395,8 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     budget for a tolerance z, provably transports no mass to columns
     whose costs all reach z.
     """
-    if hasattr(cost, "check_finite"):  # a lazily evaluated costs.SqEuclideanCost
-        cost.check_finite()
-        gamma = cost
-    else:
-        gamma = _validate_cost(cost)
+    # A lazily evaluated costs.SqEuclideanCost checks itself.
+    gamma = cost.check_finite() if hasattr(cost, "check_finite") else _validate_cost(cost)
     m, n = gamma.shape
     pot = beta_potential(cfg.beta)
     iterations = _resolve_iterations(cfg, m, n)
@@ -647,10 +645,10 @@ def _plan_result(pi, value, iterations, tol=None) -> TransportPlan:
 
 
 def _plan_data(plan):
-    """The plan's :class:`PlanEntries` when it has them, else the dense plan as an array."""
+    """A plan's entries or dense array; a caller's array goes through :func:`_validate_cost`."""
     if isinstance(plan, TransportPlan):
-        plan = plan.pi if plan.entries is None else plan.entries
-    return plan if isinstance(plan, PlanEntries) else np.asarray(plan, dtype=float)
+        return plan.pi if plan.entries is None else plan.entries
+    return plan if isinstance(plan, PlanEntries) else _validate_cost(plan, "plan")
 
 
 def transport_value(plan, cost) -> float:
@@ -658,13 +656,12 @@ def transport_value(plan, cost) -> float:
 
     The numpy sum of the row sums of plan x cost, each added entry after
     entry (see :func:`marginal_residuals`), with no m x n temporary.
+    An empty, non-2-D or non-finite array raises :class:`DimensionMismatchError` or ``ValueError``.
     """
     pi = _plan_data(plan)
-    gamma = np.asarray(cost, dtype=float)
+    gamma = _validate_cost(cost)
     if pi.shape != gamma.shape:
-        raise DimensionMismatchError(
-            f"plan shape {pi.shape} != cost shape {gamma.shape}"
-        )
+        raise DimensionMismatchError(f"plan shape {pi.shape} != cost shape {gamma.shape}")
     if isinstance(pi, PlanEntries):
         return _entries_value(pi, gamma[np.divmod(pi.index, pi.shape[1])])
     return float(np.sum(_line_sums(pi, gamma)))
@@ -685,7 +682,8 @@ def marginal_residuals(plan, m: int, n: int) -> tuple[float, float]:
     ``cumsum`` over a few rows of a dense plan (or of its transpose) at
     a time.  The two forms give the same residuals, whatever the shape
     or memory order, and the rule depends on no numpy release.  Raises
-    :class:`DimensionMismatchError` unless ``(m, n)`` is the plan's shape.
+    :class:`DimensionMismatchError` for an empty or non-2-D plan array or
+    unless ``(m, n)`` is its shape, ``ValueError`` for a non-finite one.
     """
     pi = _plan_data(plan)
     if pi.shape != (m, n):

@@ -387,6 +387,16 @@ class TestSolve:
         assert "spread" in err
         assert not plan_path.exists()
 
+    def test_failed_exact_lp_exits_four(self, tmp_path, capsys, monkeypatch):
+        failed = mock.Mock(success=False, message="forced failure")
+        monkeypatch.setattr("scipy.optimize.linprog", lambda *args, **kwargs: failed)
+        cost = tmp_path / "c.csv"
+        cost.write_text("1e200,0,1e200\n0,1e200,0\n")
+        plan_path = tmp_path / "plan.csv"
+        assert run_cli("solve", "--cost", cost, "--mode", "exact", "--out", plan_path) == 4
+        assert capsys.readouterr().err == "error: transport LP failed: forced failure\n"
+        assert not plan_path.exists()
+
     def test_exact_mode_plan(self, tmp_path):
         cost = tmp_path / "c.csv"
         cost.write_text("0,1\n1,0\n")

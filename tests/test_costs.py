@@ -266,6 +266,19 @@ class TestAutoScale:
         with pytest.raises(ValueError):
             auto_scale(gamma, 5.0, cfg, (7, 3))
 
+    @pytest.mark.parametrize("target_range", [(1.5, 20), (1, 20.9), (True, 20), (0, 20),
+                                              (np.float64(1.0), 20)])
+    def test_target_range_ends_must_be_counts(self, target_range):
+        # int() would truncate (1.5, 20) to (1, 20) and (1, 20.9) to (1, 20).
+        with pytest.raises(DomainError, match="target_range must be >= 1 and an integer"):
+            auto_scale(np.zeros((4, 4)), 5.0, SolverConfig(), target_range)
+
+    def test_numpy_integer_target_range_is_accepted(self):
+        cfg = SolverConfig(beta=1.2, lam=2.0)
+        plain = auto_scale(np.zeros((4, 4)), 5.0, cfg, (1, 19))
+        numpy_ends = auto_scale(np.zeros((4, 4)), 5.0, cfg, (np.int64(1), np.int32(19)))
+        assert numpy_ends[0] == plain[0] and numpy_ends[2] == plain[2]
+
 
 class TestOutlierSeparation:
     def test_median_of_inlier_costs_below_far_point_cost(self):

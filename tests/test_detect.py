@@ -109,6 +109,21 @@ class TestMetrics:
         with pytest.raises(ValueError):
             detection_metrics(report, {5})
 
+    @pytest.mark.parametrize("truth", [[1.5], [2.9], [True], [np.float64(1.0)], [0, 1.0]])
+    def test_rejects_truth_indices_that_are_not_integers(self, truth):
+        # int() would score [1.5] as column 1, [2.9] as 2 and [True] as 1.
+        report = detect_outliers(np.ones((2, 4)))
+        with pytest.raises(ValueError, match="truth indices must be integers"):
+            detection_metrics(report, truth)
+
+    def test_numpy_integer_truth_is_accepted(self):
+        plan = np.ones((2, 4))
+        plan[:, 2] = 0.0
+        report = detect_outliers(plan)
+        metrics = detection_metrics(report, np.array([2, 3]))
+        assert metrics == detection_metrics(report, {2, 3})
+        assert metrics.outlier_recall == 0.5 and metrics.inlier_specificity == 1.0
+
 
 class TestConsistencyWithGuaranteedZeros:
     def test_zero_column_rule_recovers_planted_set_exactly(self):

@@ -1,10 +1,13 @@
 """Exact transport reference: assignment fast path, LP path, brute force."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from betaot import (
+    NumericalUnderflowError,
     SizeError,
     exact_ot,
     exact_ot_bruteforce,
@@ -86,6 +89,13 @@ class TestPlanFeasibility:
                 dense[i, i * n + j] = dense[m + j, i * n + j] = 1.0
         assert sparse.issparse(captured["a_eq"])
         np.testing.assert_array_equal(captured["a_eq"].toarray(), dense)
+
+    def test_failed_lp_raises_a_typed_error(self, monkeypatch):
+        # Forced, so the test does not depend on which costs a HiGHS release fails on.
+        failed = SimpleNamespace(success=False, message="forced failure")
+        monkeypatch.setattr("scipy.optimize.linprog", lambda *args, **kwargs: failed)
+        with pytest.raises(NumericalUnderflowError, match="transport LP failed: forced failure"):
+            exact_ot(np.zeros((2, 3)))
 
     def test_lower_bound_against_feasible_scaling_plans(self):
         rng = np.random.default_rng(104)
