@@ -38,7 +38,7 @@ from .errors import (
     SizeError,
     UnsupportedGeneratorError,
 )
-from .oracle import ExactSolution, exact_ot, exact_ot_bruteforce
+from .oracle import exact_ot, exact_ot_bruteforce
 from .potentials import (
     Potential,
     beta_potential,
@@ -71,7 +71,6 @@ __all__ = [
     "DetectionMetrics",
     "DimensionMismatchError",
     "DomainError",
-    "ExactSolution",
     "FormatError",
     "InfeasibleToleranceError",
     "IterationBudget",

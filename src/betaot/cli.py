@@ -46,7 +46,6 @@ from .oracle import exact_ot
 from .potentials import squared_euclidean
 from .solver import (
     SolverConfig,
-    _plan_result,
     iteration_budget,
     nasa_solve,
     robust_solve,
@@ -173,9 +172,8 @@ def _solve_mode(gamma, args, fields):
     a robust plan stays as its entries unless the caller reads it.
     """
     if args.mode == "exact":
-        sol = exact_ot(gamma)
         # No iteration count: a None field is left out of the report.
-        plan = _plan_result(sol.plan, sol.value, iterations=None)
+        plan = exact_ot(gamma)
     elif args.mode == "robust":
         z = args.z if args.z is not None else median_threshold(gamma)
         plan = _run_robust(gamma, z, args, fields)

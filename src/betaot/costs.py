@@ -74,7 +74,8 @@ class SqEuclideanCost:
     forms the matrix.  ``cdist`` computes each pair on its own, and each
     scale multiplies each entry once, so an entry from a block has the
     bits of the same entry of ``dense()``.  ``solver.robust_solve`` and
-    :func:`auto_scale` accept it.
+    :func:`auto_scale` take it unevaluated; every other function that
+    takes a cost reads ``dense()`` through ``__array__``.
     """
 
     def __init__(self, x, y):
@@ -106,6 +107,10 @@ class SqEuclideanCost:
     def dense(self) -> np.ndarray:
         """The m x n cost matrix."""
         return self[:]
+
+    def __array__(self, dtype=None, copy=None):
+        # numpy 2 passes copy=; the matrix is formed anew either way.
+        return np.asarray(self.dense(), dtype=dtype)
 
     def check_finite(self) -> "SqEuclideanCost":
         """This cost; raise ``ValueError`` unless every entry is finite.

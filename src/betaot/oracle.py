@@ -7,32 +7,28 @@ the transport polytope.  A brute-force permutation enumeration is kept as
 an independent cross-check for tiny instances and deliberately shares no
 code with the assignment path.
 
+Every path returns a dense :class:`~betaot.solver.TransportPlan` with no
+iteration count.  Its ``value`` is the oracle's own arithmetic (the
+assigned or enumerated costs summed over n, or the LP's objective), not
+the plan's summation rule: solver values are tested against it.
+
 The assignment and LP solvers come from scipy, imported on the first
 call that needs them, so importing this module does not load scipy.
 """
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalUnderflowError, SizeError
-from .solver import _validate_cost
+from .solver import TransportPlan, _validate_cost
 
 MAX_CELLS = 10**6
 BRUTE_FORCE_MAX = 7
 
 
-@dataclass
-class ExactSolution:
-    """Optimal value and a witnessing plan in the coupling polytope."""
-
-    value: float
-    plan: np.ndarray
-
-
-def exact_ot(cost) -> ExactSolution:
-    """Exact minimum-cost coupling with uniform marginals 1/m, 1/n.
+def exact_ot(cost) -> TransportPlan:
+    """Exact minimum-cost coupling with uniform marginals 1/m, 1/n, as a dense plan.
 
     Square instances go through the Hungarian-style assignment solver;
     rectangular ones through an LP (HiGHS) over the transport polytope.
@@ -50,12 +46,11 @@ def exact_ot(cost) -> ExactSolution:
         rows, cols = linear_sum_assignment(gamma)
         plan = np.zeros_like(gamma)
         plan[rows, cols] = 1.0 / n
-        value = float(gamma[rows, cols].sum() / n)
-        return ExactSolution(value=value, plan=plan)
+        return TransportPlan(plan, float(gamma[rows, cols].sum() / n), None)
     return _exact_ot_lp(gamma)
 
 
-def _exact_ot_lp(gamma: np.ndarray) -> ExactSolution:
+def _exact_ot_lp(gamma: np.ndarray) -> TransportPlan:
     from scipy import sparse
     from scipy.optimize import linprog
 
@@ -73,11 +68,10 @@ def _exact_ot_lp(gamma: np.ndarray) -> ExactSolution:
     res = linprog(gamma.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise NumericalUnderflowError(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(m, n)
-    return ExactSolution(value=float(res.fun), plan=plan)
+    return TransportPlan(res.x.reshape(m, n), float(res.fun), None)
 
 
-def exact_ot_bruteforce(cost) -> ExactSolution:
+def exact_ot_bruteforce(cost) -> TransportPlan:
     """Enumerate all permutations of a square instance (n <= 7).
 
     Independent of the assignment path on purpose.  Ties are broken by the
@@ -101,5 +95,4 @@ def exact_ot_bruteforce(cost) -> ExactSolution:
             best_perm = perm
     plan = np.zeros_like(gamma)
     plan[idx, best_perm] = 1.0 / n
-    value = float(gamma[idx, best_perm].sum() / n)
-    return ExactSolution(value=value, plan=plan)
+    return TransportPlan(plan, float(gamma[idx, best_perm].sum() / n), None)

@@ -26,13 +26,15 @@ Three solvers work in dual coordinates:
   :func:`sinkhorn_solve`, for squared Euclidean a sorted simplex shift
   per line.  It is the reference the truncated beta loop deviates from.
 
-All solvers return a :class:`TransportPlan` carrying the plan, its cost
-value, L1 marginal residuals, and the iteration count.  A robust plan
-keeps its entries and builds the dense ``pi`` only when it is read;
-:func:`transport_value`, :func:`marginal_residuals` and
-``detect.detect_outliers`` work from the entries.  Every reported
-diagnostic adds each row's and each column's entries one after another
-in row-major order (a value is the numpy sum of the row sums of plan x
+All solvers, and ``oracle.exact_ot``, return a :class:`TransportPlan`
+carrying the plan, its cost value and the iteration count; it computes
+its L1 marginal residuals itself.  A robust plan keeps its entries and
+builds the dense ``pi`` only when it is read; :func:`transport_value`,
+:func:`marginal_residuals` and ``detect.detect_outliers`` work from the
+entries.  Those check a caller's arrays, while a solve runs their
+unchecked cores on the arrays it made.  Every diagnostic a solver
+reports adds each row's and each column's entries one after another in
+row-major order (a value is the numpy sum of the row sums of plan x
 cost), so exact zeros change nothing and a dense plan and its entries
 give the same floats.  Solves mutate only the dual buffers they
 allocate, never their inputs; concurrent solves share nothing.
@@ -86,29 +88,29 @@ class PlanEntries(NamedTuple):
 
 
 class TransportPlan:
-    """A computed plan with diagnostics.
+    """A computed plan with diagnostics: the one result of every solver.
 
-    ``value`` is the Frobenius inner product of the plan with the cost
-    matrix; ``row_residual_l1`` / ``col_residual_l1`` are L1 distances of
-    the marginals from the uniform targets 1/m and 1/n.  ``converged`` is
-    None for the robust loop; for a loop run to a tolerance it is True
-    exactly when those two residuals sum to at most the tolerance,
-    whatever stopping test ended the loop.
+    ``TransportPlan(pi, value, iterations_run, tol=None)`` keeps the plan
+    and its ``value``, the Frobenius inner product with the cost as the
+    solver computed it, and computes ``row_residual_l1`` /
+    ``col_residual_l1`` from ``pi``: the L1 distances of its marginals
+    from 1/m and 1/n (:func:`marginal_residuals`).  ``converged`` is None
+    without a ``tol`` (the robust loop, the exact oracle), else True
+    exactly when the two residuals sum to at most ``tol``, whatever
+    stopping test ended the loop.
 
     ``pi`` is given dense or, by :func:`robust_solve`, as
     :class:`PlanEntries`, kept in ``entries``; the dense ``pi`` is then
     built once, on first access.  A dense plan has ``entries`` None.
     """
 
-    def __init__(self, pi, value, row_residual_l1, col_residual_l1, iterations_run,
-                 converged=None):
+    def __init__(self, pi, value, iterations_run, tol=None):
         self.entries = pi if isinstance(pi, PlanEntries) else None
         self._pi = None if self.entries is not None else pi
         self.value = value
-        self.row_residual_l1 = row_residual_l1
-        self.col_residual_l1 = col_residual_l1
+        self.row_residual_l1, self.col_residual_l1 = row, col = _residuals(pi)
         self.iterations_run = iterations_run
-        self.converged = converged
+        self.converged = None if tol is None else row + col <= tol
 
     @property
     def pi(self) -> np.ndarray:
@@ -413,7 +415,7 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
             pi, costs = _dense_plan(gamma, pot, cfg.lam, iterations, caps)
         else:
             pi, costs = _candidate_plan((m, n), *found, pot, cfg.lam, iterations, caps)
-    return _plan_result(pi, _entries_value(pi, costs), iterations)
+    return TransportPlan(pi, _entries_value(pi, costs), iterations)
 
 
 def _dense_plan(gamma, pot, lam, iterations, caps):
@@ -554,7 +556,7 @@ def sinkhorn_solve(
                 break
     kernel *= u[:, None]
     kernel *= v[None, :]
-    return _plan_result(kernel, transport_value(kernel, gamma), iterations, tol)
+    return TransportPlan(kernel, _dense_value(kernel, gamma), iterations, tol)
 
 
 def _restart(gamma, f, g, lam, kernel):
@@ -611,7 +613,7 @@ def nasa_solve(
         if _stop_residual(np.maximum(a, 0.0), m, n) <= tol:
             break
     pi = np.maximum(a, 0.0, out=a)
-    return _plan_result(pi, transport_value(pi, gamma), iterations, tol)
+    return TransportPlan(pi, _dense_value(pi, gamma), iterations, tol)
 
 
 def _line_shift(a, total):
@@ -637,13 +639,6 @@ def _stop_residual(pi, m, n) -> float:
     return float(rows.sum()) + float(cols.sum())
 
 
-def _plan_result(pi, value, iterations, tol=None) -> TransportPlan:
-    """The :class:`TransportPlan` of ``pi`` (dense or :class:`PlanEntries`) and its value."""
-    row_res, col_res = marginal_residuals(pi, *pi.shape)
-    converged = None if tol is None else row_res + col_res <= tol
-    return TransportPlan(pi, value, row_res, col_res, iterations, converged)
-
-
 def _plan_data(plan):
     """A plan's entries or dense array; a caller's array goes through :func:`_validate_cost`."""
     if isinstance(plan, TransportPlan):
@@ -664,6 +659,11 @@ def transport_value(plan, cost) -> float:
         raise DimensionMismatchError(f"plan shape {pi.shape} != cost shape {gamma.shape}")
     if isinstance(pi, PlanEntries):
         return _entries_value(pi, gamma[np.divmod(pi.index, pi.shape[1])])
+    return _dense_value(pi, gamma)
+
+
+def _dense_value(pi, gamma) -> float:
+    """:func:`transport_value` of a dense plan, unchecked."""
     return float(np.sum(_line_sums(pi, gamma)))
 
 
@@ -688,15 +688,19 @@ def marginal_residuals(plan, m: int, n: int) -> tuple[float, float]:
     pi = _plan_data(plan)
     if pi.shape != (m, n):
         raise DimensionMismatchError(f"plan shape {pi.shape} != marginal sizes {(m, n)}")
+    return _residuals(pi)
+
+
+def _residuals(pi) -> tuple[float, float]:
+    """:func:`marginal_residuals` of a plan's entries or dense array, unchecked."""
+    m, n = pi.shape
     if isinstance(pi, PlanEntries):
-        rows, cols = np.divmod(pi.index, pi.shape[1])
-        row_sums = np.bincount(rows, weights=pi.values, minlength=pi.shape[0])
-        col_sums = np.bincount(cols, weights=pi.values, minlength=pi.shape[1])
+        rows, cols = np.divmod(pi.index, n)
+        row_sums = np.bincount(rows, weights=pi.values, minlength=m)
+        col_sums = np.bincount(cols, weights=pi.values, minlength=n)
     else:
         row_sums, col_sums = _line_sums(pi), _line_sums(pi.T)
-    row = float(np.abs(row_sums - 1.0 / m).sum())
-    col = float(np.abs(col_sums - 1.0 / n).sum())
-    return row, col
+    return float(np.abs(row_sums - 1.0 / m).sum()), float(np.abs(col_sums - 1.0 / n).sum())
 
 
 # Entries a dense diagnostic takes at once: its one buffer holds 2**16 floats.

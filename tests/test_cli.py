@@ -420,9 +420,8 @@ MODE_KEYS = {
 def _library_plan(mode, gamma):
     """The plan array and value the library gives for the CLI's defaults in ``mode``."""
     if mode == "exact":
-        sol = exact_ot(gamma)
-        return sol.plan, sol.value
-    if mode == "robust":
+        plan = exact_ot(gamma)
+    elif mode == "robust":
         plan = robust_solve(gamma, SolverConfig(beta=1.2, lam=2.0, iterations=3))
     elif mode == "sinkhorn":
         plan = sinkhorn_solve(gamma, 2.0)

@@ -20,7 +20,7 @@ class TestExamples:
     def test_antidiagonal_cost(self):
         sol = exact_ot(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert sol.value == 0.0
-        np.testing.assert_array_equal(sol.plan, 0.5 * np.eye(2))
+        np.testing.assert_array_equal(sol.pi, 0.5 * np.eye(2))
 
     def test_tied_permutations(self):
         # both permutations cost 2.5 per the enumeration
@@ -30,7 +30,7 @@ class TestExamples:
     def test_one_by_one(self):
         sol = exact_ot(np.array([[4.2]]))
         assert sol.value == 4.2
-        np.testing.assert_array_equal(sol.plan, [[1.0]])
+        np.testing.assert_array_equal(sol.pi, [[1.0]])
 
     def test_size_cap(self):
         with pytest.raises(SizeError):
@@ -51,7 +51,7 @@ class TestAssignmentAgainstEnumeration:
 
     def test_bruteforce_tie_break_is_lexicographic(self):
         sol = exact_ot_bruteforce(np.zeros((3, 3)))
-        np.testing.assert_array_equal(sol.plan, np.eye(3) / 3.0)
+        np.testing.assert_array_equal(sol.pi, np.eye(3) / 3.0)
 
 
 class TestPlanFeasibility:
@@ -59,18 +59,18 @@ class TestPlanFeasibility:
         rng = np.random.default_rng(102)
         gamma = rng.uniform(0, 1, size=(9, 9))
         sol = exact_ot(gamma)
-        np.testing.assert_allclose(sol.plan.sum(axis=1), 1.0 / 9, atol=1e-9)
-        np.testing.assert_allclose(sol.plan.sum(axis=0), 1.0 / 9, atol=1e-9)
-        assert sol.value == pytest.approx(transport_value(sol.plan, gamma), abs=1e-9)
+        np.testing.assert_allclose(sol.pi.sum(axis=1), 1.0 / 9, atol=1e-9)
+        np.testing.assert_allclose(sol.pi.sum(axis=0), 1.0 / 9, atol=1e-9)
+        assert sol.value == pytest.approx(transport_value(sol.pi, gamma), abs=1e-9)
 
     def test_rectangular_lp_path(self):
         rng = np.random.default_rng(103)
         gamma = rng.uniform(0.0, 1.0, size=(4, 7))
         sol = exact_ot(gamma)
-        np.testing.assert_allclose(sol.plan.sum(axis=1), 1.0 / 4, atol=1e-9)
-        np.testing.assert_allclose(sol.plan.sum(axis=0), 1.0 / 7, atol=1e-9)
-        assert np.all(sol.plan >= -1e-12)
-        assert sol.value == pytest.approx(transport_value(sol.plan, gamma), abs=1e-9)
+        np.testing.assert_allclose(sol.pi.sum(axis=1), 1.0 / 4, atol=1e-9)
+        np.testing.assert_allclose(sol.pi.sum(axis=0), 1.0 / 7, atol=1e-9)
+        assert np.all(sol.pi >= -1e-12)
+        assert sol.value == pytest.approx(transport_value(sol.pi, gamma), abs=1e-9)
 
     def test_rectangular_lp_constraints_are_sparse(self, monkeypatch):
         m, n = 3, 5
