@@ -23,7 +23,6 @@ diffs, plus a JSON sidecar with the same fields.
 
 import hashlib
 import json
-import os
 import shutil
 import sys
 import tempfile
@@ -31,7 +30,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import _csvrows
+from . import _csvrows, solver
 from .errors import FormatError
 
 # Entries per helper process.  Formatting them takes about 0.15 s, far
@@ -138,13 +137,6 @@ def format_value(v: float) -> str:
     return repr(float(v))
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
 def _format_rows(fh, rows):
     """Format ``rows`` here, one row at a time as Python floats."""
     for row in rows:
@@ -162,7 +154,7 @@ def _write_rows(fh, mat: np.ndarray):
     row is formatted here instead, so the bytes never depend on helpers.
     """
     m = mat.shape[0]
-    k = min(_usable_cpus(), mat.size // _MIN_HELPER_ENTRIES, m)
+    k = min(solver._usable_cpus(), mat.size // _MIN_HELPER_ENTRIES, m)
     if k < 2 or not sys.executable:
         _format_rows(fh, mat)
         return

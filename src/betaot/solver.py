@@ -18,7 +18,10 @@ Three solvers work in dual coordinates:
   entries in row-major order, and truncates the Newton step at
   ``theta_hat - phi_prime(1/size)``, the bound behind the certificate.
   Both return the plan as its entries above the clamp bound, so they
-  give bit-identical plans and diagnostics.
+  give bit-identical plans and diagnostics.  A large dense loop with two
+  usable CPUs runs each half-step on two blocks of the dual, the second
+  on a helper thread that ends with the solve (:func:`_dense_plan`), and
+  gives the same bits as on one.
 - :func:`sinkhorn_solve` is the classical scaling method for the Shannon
   entropy, on a kernel whose offsets keep it from underflowing.
 - :func:`nasa_solve` is the alternating-projection loop for a cofinite
@@ -37,12 +40,15 @@ reports adds each row's and each column's entries one after another in
 row-major order (a value is the numpy sum of the row sums of plan x
 cost), so exact zeros change nothing and a dense plan and its entries
 give the same floats.  Solves mutate only the dual buffers they
-allocate, never their inputs; concurrent solves share nothing.
+allocate, never their inputs; concurrent solves share nothing, and the
+dense loop's helper thread touches only its own solve's buffers.
 """
 
 import math
 import numbers
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -418,32 +424,130 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     return TransportPlan(pi, _entries_value(pi, costs), iterations)
 
 
+# A dense loop of at least this many entries runs on two blocks (see _dense_plan).
+_TWO_BLOCK_ENTRIES = 1 << 17
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, else ``os.cpu_count``.
+
+    The one count behind the dense loop's blocks and ``fileio``'s CSV
+    helper processes.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 def _dense_plan(gamma, pot, lam, iterations, caps):
     """The robust loop on the whole dual, the conjugate on its active entries.
 
-    Each half-step finds the active entries and their rows or columns
-    from flat indices and takes the line maxima over the whole dual.
+    The dual is kept as k C-ordered column panels, k = 2 when there are
+    two usable CPUs, ``min(m, n) >= 2`` and at least
+    :data:`_TWO_BLOCK_ENTRIES` entries, else k = 1, the whole dual.  A
+    row half-step runs on k row blocks: each gathers its rows' active
+    entries panel after panel into one ``bincount``, so a row still adds
+    its entries in row-major order.  A column half-step runs on each
+    panel, whose columns add theirs row after row as before.  Every line
+    maximum, sum and step is thus the one-block loop's bit for bit.
+
+    With k = 2 one helper thread, which lives only as long as the call,
+    takes the second block of each half-step while this thread takes the
+    first; numpy releases the GIL in the per-entry work.  A
+    :class:`DomainError` from either block is raised once both are done.
+    Below some size the hand-offs cost more than the halves save, since
+    numpy keeps the GIL on small arrays.  Measured on a 2-vCPU Xeon guest
+    (squared distances between two Gaussian clouds in the plane, T=80,
+    two blocks over one, medians of 15-40 interleaved runs): 4.23 at
+    2,500 entries, 2.73 at 16,384, 1.87 at 32,761, 1.10 at 65,536, 1.08
+    at 90,000, 0.85 at 131,044 and 0.69 at 255,000 (510 x 500, the
+    size of the paper's robust-distance criterion), so the crossover
+    lies between 90,000 and 131,044 entries.
+
     Returns what :func:`_candidate_plan` does: the :class:`PlanEntries`
     above the bound and the costs at them.
     """
     m, n = gamma.shape
     bound = pot.clamp_bound
-    # A fresh C-ordered dual, so the flat view below is a view even for
-    # an F-ordered cost such as gamma.T.
-    theta = np.negative(gamma, order="C")
-    theta /= lam
-    flat = theta.reshape(-1)
-    for _ in range(iterations):
-        for axis, size in ((1, m), (0, n)):
-            active = np.flatnonzero(theta > bound)
-            # Each entry's row or column; numpy divides by a scalar faster than % n.
-            lines = active // n if axis == 1 else active - active // n * n
-            theta_hat = np.maximum(theta.max(axis=axis), bound)
-            step = _half_step(theta_hat, flat[active], lines, pot, caps[size], size)
-            del active, lines  # before the next half-step allocates
-            theta -= np.expand_dims(step, axis)
+    k = 2 if min(m, n) >= 2 and m * n >= _TWO_BLOCK_ENTRIES and _usable_cpus() >= 2 else 1
+    # Fresh C-ordered panels, so their flat views are views even for an
+    # F-ordered cost such as gamma.T.
+    edges = [n * i // k for i in range(k + 1)]
+    panels = [np.negative(gamma[:, a:b], order="C") for a, b in zip(edges, edges[1:])]
+    for panel in panels:
+        panel /= lam
+    halves = [slice(m * i // k, m * (i + 1) // k) for i in range(k)]
+
+    def row_step(rows):
+        blocks = [panel[rows] for panel in panels]
+        active = [np.flatnonzero(block > bound) for block in blocks]
+        values = _joined([b.reshape(-1)[i] for b, i in zip(blocks, active)])
+        # Each entry's row; numpy divides by a scalar faster than % n.
+        lines = _joined([i // b.shape[1] for b, i in zip(blocks, active)])
+        del active
+        theta_hat = np.full(rows.stop - rows.start, bound)
+        for block in blocks:
+            np.maximum(theta_hat, block.max(axis=1), out=theta_hat)
+        step = _half_step(theta_hat, values, lines, pot, caps[m], m)[:, None]
+        for block in blocks:
+            block -= step
+
+    def col_step(panel):
+        width = panel.shape[1]
+        active = np.flatnonzero(panel > bound)
+        lines = active - active // width * width
+        theta_hat = np.maximum(panel.max(axis=0), bound)
+        values = panel.reshape(-1)[active]
+        del active
+        panel -= _half_step(theta_hat, values, lines, pot, caps[n], n)
+
+    with _block_runner(k) as run:
+        for _ in range(iterations):
+            run(row_step, halves)
+            run(col_step, panels)
+    theta = _joined(panels, axis=1)
+    del panels
     # take flattens in C order, so an F-ordered cost gives the same costs.
-    return _plan_entries((m, n), flat, pot, None, gamma)
+    return _plan_entries((m, n), theta.reshape(-1), pot, None, gamma)
+
+
+def _joined(arrays, axis=0):
+    """The arrays concatenated along ``axis``; a single one as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+
+
+@contextmanager
+def _block_runner(k: int):
+    """``run(task, blocks)`` calls ``task`` on every block, k at a time.
+
+    With k = 2 a helper thread takes the second block while the caller
+    takes the first, under the caller's errstate for the robust loop
+    (errstate does not carry over to new threads), and the first error is
+    raised once both are done.  The thread ends with the ``with`` block.
+    ``concurrent.futures`` is imported here, never at start-up.
+    """
+    if k == 1:
+        yield lambda task, blocks: task(blocks[0])
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    def in_errstate(task, block):
+        with np.errstate(over="ignore", invalid="ignore"):
+            task(block)
+
+    def run(task, blocks):
+        first, second = blocks
+        later = pool.submit(in_errstate, task, second)
+        try:
+            task(first)
+        finally:
+            error = later.exception()
+        if error is not None:
+            raise error
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield run
 
 
 def _candidate_plan(shape, index, costs, pot, lam, iterations, caps):
@@ -476,13 +580,14 @@ def _half_step(theta_hat, values, lines, pot, cap, size):
 
     ``values`` are the dual's active entries (above the bound) in
     row-major order, consumed in place, and ``lines`` their rows or
-    columns; ``theta_hat`` holds the line maxima of the clamped dual.
+    columns, counted from the first of ``theta_hat``, which holds the
+    line maxima of the clamped dual; ``size`` is the marginal's count.
     Each line's ``psi'`` and ``psi''`` are summed with ``bincount``, one
     entry after another.
     """
     ps, pss = _psi_pair_inplace(values, pot)
-    ps_sum = np.bincount(lines, weights=ps, minlength=size)
-    pss_sum = np.bincount(lines, weights=pss, minlength=size)
+    ps_sum = np.bincount(lines, weights=ps, minlength=theta_hat.size)
+    pss_sum = np.bincount(lines, weights=pss, minlength=theta_hat.size)
     return _truncated_step(theta_hat, ps_sum, pss_sum, cap, size)
 
 
@@ -680,8 +785,11 @@ def marginal_residuals(plan, m: int, n: int) -> tuple[float, float]:
     Each row and each column adds its entries one after another in
     row-major order: ``bincount`` over a plan's entries, a
     ``cumsum`` over a few rows of a dense plan (or of its transpose) at
-    a time.  The two forms give the same residuals, whatever the shape
-    or memory order, and the rule depends on no numpy release.  Raises
+    a time.  A C-ordered dense plan with two or more columns takes its
+    column sums from ``sum(axis=0)``, which adds row after row, at
+    about a tenth of the cost.  The forms give the same residuals,
+    whatever the shape or memory order (``TestSummationRule`` pins
+    numpy's order at every release the package supports).  Raises
     :class:`DimensionMismatchError` for an empty or non-2-D plan array or
     unless ``(m, n)`` is its shape, ``ValueError`` for a non-finite one.
     """
@@ -699,7 +807,10 @@ def _residuals(pi) -> tuple[float, float]:
         row_sums = np.bincount(rows, weights=pi.values, minlength=m)
         col_sums = np.bincount(cols, weights=pi.values, minlength=n)
     else:
-        row_sums, col_sums = _line_sums(pi), _line_sums(pi.T)
+        row_sums = _line_sums(pi)
+        # numpy adds a C-ordered plan's rows one after another into its
+        # column sums; an m x 1 plan it sums pairwise.
+        col_sums = pi.sum(axis=0) if n > 1 and pi.flags.c_contiguous else _line_sums(pi.T)
     return float(np.abs(row_sums - 1.0 / m).sum()), float(np.abs(col_sums - 1.0 / n).sum())
 
 

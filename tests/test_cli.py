@@ -723,6 +723,15 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False"]
 
+    def test_importing_the_cli_loads_no_thread_pool(self):
+        """The dense loop imports ``concurrent.futures`` only when it starts a thread."""
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); import betaot.cli; "
+                 "print('concurrent.futures' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", probe, str(SRC)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
     def test_cdist_is_imported_and_called_only_by_the_lazy_cost(self):
         """One ``cdist`` site in the package, in ``SqEuclideanCost.__getitem__``."""
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from betaot import SolverConfig, _csvrows, fileio, robust_solve
+from betaot import SolverConfig, _csvrows, fileio, robust_solve, solver
 from betaot.fileio import (
     format_value,
     read_cost_matrix,
@@ -192,7 +192,7 @@ def helpers_on(cpus, min_entries=1):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fileio, "_MIN_HELPER_ENTRIES", min_entries)
-        mp.setattr(fileio, "_usable_cpus", lambda: cpus)
+        mp.setattr(solver, "_usable_cpus", lambda: cpus)
         mp.setattr(fileio, "_format_rows", recording)
         yield formatted
 
@@ -291,7 +291,7 @@ class TestHelpers:
     def test_parent_memory_stays_per_row(self, monkeypatch):
         # A 1000 x 1000 matrix is 8 MB; the parent may hold a few rows.
         mat = np.random.default_rng(7).uniform(0.0, 1.0, size=(1000, 1000))
-        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
         fd, path = tempfile.mkstemp(suffix=".csv")
         os.close(fd)
         tracemalloc.start()

@@ -1,6 +1,8 @@
 """End-to-end solvers: truncated beta scaling, Sinkhorn, NASA, diagnostics."""
 
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -703,6 +705,97 @@ class TestDenseLoop:
         assert _bits(plan.row_residual_l1, plan.col_residual_l1) == _bits(*residuals)
 
 
+def _block_counts():
+    """A patch of ``solver._block_runner`` and the list of the k of each dense loop."""
+    counts, runner = [], solver._block_runner
+
+    def recording(k):
+        counts.append(k)
+        return runner(k)
+
+    return mock.patch.object(solver, "_block_runner", recording), counts
+
+
+def _two_blocks_from(entries):
+    """Patches under which a dense loop of ``entries`` or more runs on two blocks."""
+    return (mock.patch.object(solver, "_TWO_BLOCK_ENTRIES", entries),
+            mock.patch.object(solver, "_usable_cpus", lambda: 2))
+
+
+def _above_the_block_constant(beta=1.2, lam=2.0, iterations=3):
+    """A 370 x 360 cost (133,200 entries, above 2**17) on which the dense loop runs."""
+    m, n = 370, 360
+    assert m * n >= solver._TWO_BLOCK_ENTRIES
+    level = _certified_cost(beta_potential(beta), lam, m, n, iterations)
+    gamma = np.random.default_rng(29).uniform(0.0, 0.6 * level, size=(m, n))
+    gamma[:, ::3] += level
+    assert _candidates(gamma, level) is None
+    return gamma, SolverConfig(beta=beta, lam=lam, iterations=iterations)
+
+
+class TestTwoBlocks:
+    """The dense loop on two blocks and a helper thread gives the one-block plan."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(dense_loop_instances())
+    def test_bit_identical_to_dense_reference(self, instance):
+        # With the entry constant at 0, every dense loop with two rows
+        # and two columns runs on two blocks.
+        beta, lam, iterations, gamma = instance
+        m, n = gamma.shape
+        event("m == 1 or n == 1" if min(m, n) == 1 else "odd m or n" if m % 2 or n % 2
+              else "even m and n")
+        pi, value = dense_robust_solve(gamma, beta, lam, iterations)
+        recording, counts = _block_counts()
+        constant, cpus = _two_blocks_from(0)
+        with recording, constant, cpus:
+            plan = robust_solve(gamma, SolverConfig(beta=beta, lam=lam, iterations=iterations))
+        assert counts == [2 if min(m, n) >= 2 else 1]
+        assert plan.pi.tobytes() == pi.tobytes()
+        assert _bits(plan.value) == _bits(value)
+        residuals = marginal_residuals(pi, m, n)
+        assert _bits(plan.row_residual_l1, plan.col_residual_l1) == _bits(*residuals)
+
+    def test_above_the_constant_matches_dense_reference(self):
+        gamma, cfg = _above_the_block_constant()
+        pi, value = dense_robust_solve(gamma, cfg.beta, cfg.lam, cfg.iterations)
+        recording, counts = _block_counts()
+        with recording:
+            plan = robust_solve(gamma, cfg)
+        assert counts == [2 if solver._usable_cpus() >= 2 else 1]
+        assert plan.pi.tobytes() == pi.tobytes()
+        assert _bits(plan.value) == _bits(value)
+
+    @pytest.mark.parametrize("corner", [0, -1], ids=["this thread's block", "helper's block"])
+    def test_overflow_in_either_block_raises_and_leaves_no_thread(self, corner):
+        gamma = np.random.default_rng(12).uniform(0.0, 1.0, size=(40, 40))
+        gamma[corner, corner] = -1e70
+        threads = threading.active_count()
+        constant, cpus = _two_blocks_from(0)
+        with constant, cpus, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflowed"):
+                robust_solve(gamma, SolverConfig(beta=1.2, lam=1.0, iterations=3))
+        assert threading.active_count() == threads
+
+    def test_no_thread_is_left_after_a_solve(self):
+        gamma, cfg = _above_the_block_constant()
+        threads = threading.active_count()
+        with _two_blocks_from(0)[1]:
+            robust_solve(gamma, cfg)
+        assert threading.active_count() == threads
+
+    def test_one_usable_cpu_starts_no_thread(self):
+        gamma, cfg = _above_the_block_constant()
+        expected = robust_solve(gamma, cfg)
+        started = mock.Mock(side_effect=AssertionError("a thread started"))
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True), \
+                mock.patch.object(threading.Thread, "start", started):
+            plan = robust_solve(gamma, cfg)
+        assert not started.called
+        assert plan.pi.tobytes() == expected.pi.tobytes()
+
+
 class TestCertifiedCost:
     def test_bounds_the_paper_threshold(self):
         beta, lam, m, n, iterations = 1.2, 2.0, 950, 1000, 10
@@ -985,6 +1078,26 @@ class TestSummationRule:
         for plan in (pi, entries):
             assert _bits(transport_value(plan, gamma)) == _bits(value)
             assert _bits(*marginal_residuals(plan, m, n)) == _bits(*residuals)
+
+    @settings(max_examples=200, deadline=None)
+    @given(diagnostic_instances(), st.integers(0, 2**32 - 1))
+    def test_dense_column_sums_add_row_after_row(self, instance, seed):
+        # Entries of both signs cancel, so a column summed in any other
+        # order shows: numpy's sum(axis=0) of a C-ordered plan with two or
+        # more columns adds row after row, as the cumsum form does.
+        pi, _ = instance
+        m, n = pi.shape
+        pi *= np.where(np.random.default_rng(seed).random((m, n)) < 0.5, -1.0, 1.0)
+        c_ordered = n > 1 and pi.flags.c_contiguous
+        event("m x 1" if n == 1 else "C-ordered" if c_ordered else "F-ordered")
+        columns = _sequential_sums(pi.T)
+        if c_ordered:
+            assert np.array_equal(pi.sum(axis=0), columns)
+        residuals = (
+            float(np.abs(_sequential_sums(pi) - 1.0 / m).sum()),
+            float(np.abs(columns - 1.0 / n).sum()),
+        )
+        assert _bits(*marginal_residuals(pi, m, n)) == _bits(*residuals)
 
     def test_dense_diagnostics_allocate_no_dense_matrix(self):
         # np.sum(pi * gamma) alone would allocate 8 MB here.
