@@ -14,7 +14,8 @@ point clouds, rescaled or not, without forming the m x n matrix.
 it walks a dense cost, and keeps only the entries below its certified
 level; when those are many, the solver forms the dense matrix and runs
 its dense loop.  Every entry has the same bits as in
-``scale * sq_euclidean_cost(x, y)``.
+``scale * sq_euclidean_cost(x, y)``, and every block it gives follows
+the cost rule of a dense cost, so an overflow raises wherever it is read.
 
 Every distance comes from one ``cdist`` call, in
 ``SqEuclideanCost.__getitem__``, which imports scipy on first use, so
@@ -60,7 +61,7 @@ def _as_points(x) -> np.ndarray:
 
 
 def sq_euclidean_cost(x, y) -> np.ndarray:
-    """Pairwise squared Euclidean distances between two point clouds."""
+    """Pairwise squared Euclidean distances of two point clouds; ValueError on an overflow."""
     return SqEuclideanCost(x, y).dense()
 
 
@@ -76,6 +77,11 @@ class SqEuclideanCost:
     bits of the same entry of ``dense()``.  ``solver.robust_solve`` and
     :func:`auto_scale` take it unevaluated; every other function that
     takes a cost reads ``dense()`` through ``__array__``.
+
+    Every block keeps the cost rule: once ``d * (max|x| + max|y|)^2``
+    times the scales reaches :data:`_FINITE_BOUND`, each block goes
+    through ``solver._validate_cost`` and an overflow raises its
+    ``ValueError``.  Below that bound no entry can overflow.
     """
 
     def __init__(self, x, y):
@@ -87,6 +93,8 @@ class SqEuclideanCost:
             )
         self.shape = (self.x.shape[0], self.y.shape[0])
         self._scales = ()
+        reach = float(np.abs(self.x).max()) + float(np.abs(self.y).max())
+        self._bound = self.x.shape[1] * reach * reach
 
     def scaled(self, scale: float) -> "SqEuclideanCost":
         """This cost times ``scale``, without evaluating it."""
@@ -94,15 +102,17 @@ class SqEuclideanCost:
         # Times 1.0 every float keeps its bits, so the factor is skipped.
         if scale != 1.0:
             out._scales = self._scales + (scale,)
+            out._bound = self._bound * abs(scale)
         return out
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         from scipy.spatial.distance import cdist
 
         block = cdist(self.x[rows], self.y, metric="sqeuclidean")
-        for scale in self._scales:
-            np.multiply(block, scale, out=block)
-        return block
+        with np.errstate(over="ignore"):  # overflows reach the bound and raise below
+            for scale in self._scales:
+                np.multiply(block, scale, out=block)
+        return block if self._bound < _FINITE_BOUND else _validate_cost(block)
 
     def dense(self) -> np.ndarray:
         """The m x n cost matrix."""
@@ -111,23 +121,6 @@ class SqEuclideanCost:
     def __array__(self, dtype=None, copy=None):
         # numpy 2 passes copy=; the matrix is formed anew either way.
         return np.asarray(self.dense(), dtype=dtype)
-
-    def check_finite(self) -> "SqEuclideanCost":
-        """This cost; raise ``ValueError`` unless every entry is finite.
-
-        The error is the one ``robust_solve`` raises for a dense cost.
-        When the bound ``d * (max|x| + max|y|)^2`` times the scales is
-        below :data:`_FINITE_BOUND`, no cost can overflow and nothing is
-        evaluated; otherwise the blocks are evaluated and checked.
-        """
-        reach = float(np.abs(self.x).max()) + float(np.abs(self.y).max())
-        bound = self.x.shape[1] * reach * reach
-        for scale in self._scales:
-            bound *= abs(scale)
-        if not bound < _FINITE_BOUND:
-            for start in range(0, self.shape[0], _BLOCK_ROWS):
-                _validate_cost(self[start:start + _BLOCK_ROWS])
-        return self
 
 
 def median_threshold(cost) -> float:
@@ -156,6 +149,7 @@ def estimate_z(clean, percentile: float, seed: int) -> float:
     are evaluated ``_BLOCK_ROWS`` rows at a time, never as one matrix.
 
     Deterministic for a fixed seed and nondecreasing in the percentile.
+    A distance that overflows raises ``ValueError``, as in :class:`SqEuclideanCost`.
     """
     pts = _as_points(clean)
     k = pts.shape[0]

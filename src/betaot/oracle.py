@@ -17,6 +17,7 @@ call that needs them, so importing this module does not load scipy.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -65,10 +66,14 @@ def _exact_ot_lp(gamma: np.ndarray) -> TransportPlan:
         format="csr",
     )
     b_eq = np.concatenate([np.full(m, 1.0 / m), np.full(n, 1.0 / n)])
-    res = linprog(gamma.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    # HiGHS fails on costs from about 1e19: solve on the cost times the power
+    # of two that brings its largest entry into [0.5, 1), which rounds nothing.
+    _, e = math.frexp(float(np.abs(gamma).max()))
+    res = linprog(np.ldexp(gamma.ravel(), -e), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs")
     if not res.success:
         raise NumericalUnderflowError(f"transport LP failed: {res.message}")
-    return TransportPlan(res.x.reshape(m, n), float(res.fun), None)
+    return TransportPlan(res.x.reshape(m, n), math.ldexp(res.fun, e), None)
 
 
 def exact_ot_bruteforce(cost) -> TransportPlan:

@@ -378,8 +378,9 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     otherwise it runs on the dense dual.  The two loops give
     bit-identical plans.  The crossover depends on how many candidates
     become active, which the input does not tell in advance.  Measured
-    on a 2-core Xeon (T=10, candidate loop over dense loop, medians of
-    15 interleaved runs): on the 950x1000 detection cost rescaled, where
+    on a 2-core Xeon against the dense loop on one block, before it took
+    two (T=10, candidate loop over dense loop, medians of 15 interleaved
+    runs): on the 950x1000 detection cost rescaled, where
     about 0.2% of the entries end active, 0.18 at 8.7% candidates, 0.44
     at 25%, 0.86 at 50%, 1.02 at 60% and 1.53 at 85%; on 800x800 costs
     whose candidates all end active, 0.50 at 10%, 0.76 at 20%, 0.80 at
@@ -392,7 +393,10 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     blocks and keeps only the candidates, with their costs, from which
     the plan's value comes.  When the walk gives None, the dense matrix
     is formed and the dense loop runs.  The plan, value
-    and residuals equal those of the dense cost bit for bit.
+    and residuals equal those of the dense cost bit for bit.  Its blocks
+    keep the cost rule as they are evaluated, so a cost that overflows
+    raises the dense cost's ``ValueError``, though after any error in
+    ``cfg``.
 
     Raises :class:`DomainError` when the conjugate overflows, as it does
     on a dual entry ``-cost/lam`` far above the domain (a very negative
@@ -403,8 +407,8 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
     budget for a tolerance z, provably transports no mass to columns
     whose costs all reach z.
     """
-    # A lazily evaluated costs.SqEuclideanCost checks itself.
-    gamma = cost.check_finite() if hasattr(cost, "check_finite") else _validate_cost(cost)
+    # A costs.SqEuclideanCost checks each block it evaluates.
+    gamma = cost if hasattr(cost, "dense") else _validate_cost(cost)
     m, n = gamma.shape
     pot = beta_potential(cfg.beta)
     iterations = _resolve_iterations(cfg, m, n)
@@ -445,12 +449,13 @@ def _dense_plan(gamma, pot, lam, iterations, caps):
 
     The dual is kept as k C-ordered column panels, k = 2 when there are
     two usable CPUs, ``min(m, n) >= 2`` and at least
-    :data:`_TWO_BLOCK_ENTRIES` entries, else k = 1, the whole dual.  A
-    row half-step runs on k row blocks: each gathers its rows' active
-    entries panel after panel into one ``bincount``, so a row still adds
-    its entries in row-major order.  A column half-step runs on each
-    panel, whose columns add theirs row after row as before.  Every line
-    maximum, sum and step is thus the one-block loop's bit for bit.
+    :data:`_TWO_BLOCK_ENTRIES` entries, else k = 1, the whole dual.  One
+    step serves both axes.  A row half-step runs it on k row blocks: each
+    gathers its rows' active entries panel after panel into one
+    ``bincount``, so a row still adds its entries in row-major order.  A
+    column half-step runs it on each panel, whose columns add theirs row
+    after row.  Every line maximum, sum and step is thus the one-block
+    loop's bit for bit.
 
     With k = 2 one helper thread, which lives only as long as the call,
     takes the second block of each half-step while this thread takes the
@@ -477,37 +482,30 @@ def _dense_plan(gamma, pot, lam, iterations, caps):
     panels = [np.negative(gamma[:, a:b], order="C") for a, b in zip(edges, edges[1:])]
     for panel in panels:
         panel /= lam
-    halves = [slice(m * i // k, m * (i + 1) // k) for i in range(k)]
+    halves = [[panel[m * i // k:m * (i + 1) // k] for panel in panels] for i in range(k)]
 
-    def row_step(rows):
-        blocks = [panel[rows] for panel in panels]
+    def step(blocks, axis):
+        """One half-step on the rows of ``blocks`` (axis 1) or the columns of its one panel."""
+        size = (n, m)[axis]
         active = [np.flatnonzero(block > bound) for block in blocks]
         values = _joined([b.reshape(-1)[i] for b, i in zip(blocks, active)])
-        # Each entry's row; numpy divides by a scalar faster than % n.
-        lines = _joined([i // b.shape[1] for b, i in zip(blocks, active)])
+        # Each entry's line; numpy divides by a scalar faster than % width.
+        lines = _joined([i // b.shape[1] if axis else i - i // b.shape[1] * b.shape[1]
+                         for b, i in zip(blocks, active)])
         del active
-        theta_hat = np.full(rows.stop - rows.start, bound)
+        theta_hat = np.full(blocks[0].shape[1 - axis], bound)
         for block in blocks:
-            np.maximum(theta_hat, block.max(axis=1), out=theta_hat)
-        step = _half_step(theta_hat, values, lines, pot, caps[m], m)[:, None]
+            np.maximum(theta_hat, block.max(axis=axis), out=theta_hat)
+        shift = _half_step(theta_hat, values, lines, pot, caps[size], size)
         for block in blocks:
-            block -= step
-
-    def col_step(panel):
-        width = panel.shape[1]
-        active = np.flatnonzero(panel > bound)
-        lines = active - active // width * width
-        theta_hat = np.maximum(panel.max(axis=0), bound)
-        values = panel.reshape(-1)[active]
-        del active
-        panel -= _half_step(theta_hat, values, lines, pot, caps[n], n)
+            block -= shift[:, None] if axis else shift
 
     with _block_runner(k) as run:
         for _ in range(iterations):
-            run(row_step, halves)
-            run(col_step, panels)
+            run(step, halves, 1)
+            run(step, [[panel] for panel in panels], 0)
     theta = _joined(panels, axis=1)
-    del panels
+    del panels, halves
     # take flattens in C order, so an F-ordered cost gives the same costs.
     return _plan_entries((m, n), theta.reshape(-1), pot, None, gamma)
 
@@ -519,7 +517,7 @@ def _joined(arrays, axis=0):
 
 @contextmanager
 def _block_runner(k: int):
-    """``run(task, blocks)`` calls ``task`` on every block, k at a time.
+    """``run(task, blocks, *args)`` calls ``task(block, *args)`` on every block, k at a time.
 
     With k = 2 a helper thread takes the second block while the caller
     takes the first, under the caller's errstate for the robust loop
@@ -528,19 +526,19 @@ def _block_runner(k: int):
     ``concurrent.futures`` is imported here, never at start-up.
     """
     if k == 1:
-        yield lambda task, blocks: task(blocks[0])
+        yield lambda task, blocks, *args: task(blocks[0], *args)
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    def in_errstate(task, block):
+    def in_errstate(task, block, *args):
         with np.errstate(over="ignore", invalid="ignore"):
-            task(block)
+            task(block, *args)
 
-    def run(task, blocks):
+    def run(task, blocks, *args):
         first, second = blocks
-        later = pool.submit(in_errstate, task, second)
+        later = pool.submit(in_errstate, task, second, *args)
         try:
-            task(first)
+            task(first, *args)
         finally:
             error = later.exception()
         if error is not None:

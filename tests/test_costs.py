@@ -5,6 +5,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from betaot import costs
 from betaot import (
@@ -19,8 +22,25 @@ from betaot import (
     estimate_z,
     iteration_budget,
     median_threshold,
+    robust_solve,
     sq_euclidean_cost,
 )
+
+
+_NOT_FINITE = r"^cost matrix must be finite \(no NaN/Inf\)$"
+
+
+@st.composite
+def overflow_instances(draw):
+    """Two clouds with magnitudes from 1e-3 to 1e200, scales up to 1e308, a row range."""
+    m, n, d = draw(st.integers(1, 150)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.floats(-3.0, 200.0))
+    x = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3.0, top, size=(m, 1))
+    y = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3.0, top, size=(n, 1))
+    scales = draw(st.lists(st.floats(-10.0, 308.0).map(lambda e: 10.0 ** e), max_size=2))
+    a = draw(st.integers(0, m - 1))
+    return x, y, scales, (a, draw(st.integers(a + 1, m)))
 
 
 class TestSqEuclideanCost:
@@ -69,20 +89,60 @@ class TestLazySqEuclideanCost:
 
     def test_finiteness_is_checked_where_a_cost_can_overflow(self):
         # The bound fails at 1e150, where every cost is still finite, and
-        # the blocks are checked; at 1e200 a cost overflows to inf.
+        # the blocks are checked; at 1e200 a cost overflows to inf, and
+        # every reader of the cost raises the dense cost's error.
         rng = np.random.default_rng(88)
         x = rng.standard_normal((150, 2))
         for far, finite in ((1e150, True), (1e200, False)):
             y = np.vstack([rng.standard_normal((5, 2)), [[far, 0.0]]])
             cost = SqEuclideanCost(x, y)
-            assert np.isfinite(cost.dense()).all() == finite
+            dense = cdist(x, y, "sqeuclidean")
+            assert np.isfinite(dense).all() == finite
             if finite:
-                cost.check_finite()
-            else:
-                with pytest.raises(ValueError, match="must be finite"):
-                    cost.check_finite()
-        with pytest.raises(ValueError, match="must be finite"), np.errstate(over="ignore"):
-            SqEuclideanCost(x, x).scaled(1e308).check_finite()
+                assert cost.dense().tobytes() == dense.tobytes()
+                continue
+            for read in (cost.dense, lambda: np.asarray(cost), lambda: cost[128:150],
+                         lambda: sq_euclidean_cost(x, y),
+                         lambda: robust_solve(cost, SolverConfig(iterations=2))):
+                with pytest.raises(ValueError, match=_NOT_FINITE):
+                    read()
+        with pytest.raises(ValueError, match=_NOT_FINITE):
+            SqEuclideanCost(x, x).scaled(1e308).dense()
+
+    def test_a_single_overflowing_distance_raises(self):
+        with pytest.raises(ValueError, match=_NOT_FINITE):
+            sq_euclidean_cost([[0.0]], [[1e200]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(overflow_instances())
+    def test_every_block_keeps_the_cost_rule(self, instance):
+        # A block has the bits of the same rows of the scaled cdist, or
+        # raises exactly when those rows hold an overflow; robust_solve
+        # gives the dense form's plan or its error.
+        x, y, scales, (a, b) = instance
+        cost = SqEuclideanCost(x, y)
+        dense = cdist(x, y, "sqeuclidean")
+        with np.errstate(over="ignore"):
+            for scale in scales:
+                cost = cost.scaled(scale)
+                dense = dense * scale
+        finite = np.isfinite(dense[a:b]).all()
+        checked = not cost._bound < costs._FINITE_BOUND
+        event("overflowing block" if not finite else "checked" if checked else "unchecked")
+        if finite:
+            assert cost[a:b].tobytes() == dense[a:b].tobytes()
+        else:
+            with pytest.raises(ValueError, match=_NOT_FINITE):
+                cost[a:b]
+        cfg = SolverConfig(beta=1.2, lam=2.0, iterations=2)
+        if np.isfinite(dense).all():
+            plan, expected = robust_solve(cost, cfg), robust_solve(dense, cfg)
+            assert plan.pi.tobytes() == expected.pi.tobytes()
+            assert plan.value == expected.value
+        else:
+            for solved in (cost, dense):
+                with pytest.raises(ValueError, match=_NOT_FINITE):
+                    robust_solve(solved, cfg)
 
     def test_auto_scale_returns_it_unevaluated_with_the_dense_scale(self):
         rng = np.random.default_rng(89)
@@ -167,6 +227,14 @@ class TestEstimateZ:
         dense = sq_euclidean_cost(pts[perm[:2000]], pts[perm[2000:]]).min(axis=1)
         assert rank.call_args.args[0].tobytes() == dense.tobytes()
         assert peak < 4_000_000
+
+    def test_overflowing_distances_raise(self):
+        # Unchecked, the four points' minima avoid the overflow (2.0) and
+        # the six points' do not (inf).
+        far = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e200, 0.0]]
+        for pts in (far, far + [[2.0, 0.0], [0.0, 2.0]]):
+            with pytest.raises(ValueError, match=_NOT_FINITE):
+                estimate_z(pts, 99.0, seed=0)
 
     def test_preconditions(self):
         pts = np.zeros((3, 2))

@@ -1,5 +1,6 @@
 """Exact transport reference: assignment fast path, LP path, brute force."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,6 +72,25 @@ class TestPlanFeasibility:
         np.testing.assert_allclose(sol.pi.sum(axis=0), 1.0 / 7, atol=1e-9)
         assert np.all(sol.pi >= -1e-12)
         assert sol.value == pytest.approx(transport_value(sol.pi, gamma), abs=1e-9)
+
+    @pytest.mark.parametrize("power", [64, 665, 1024], ids=["1.7e19", "1.8e200", "1.7e308"])
+    def test_large_costs_solve_as_the_cost_times_a_power_of_two(self, power):
+        # The largest entry, 0.95, becomes about 1.7e19, 1.8e200 or 1.7e308.
+        gamma = np.random.default_rng(106).uniform(0.0, 0.9, size=(5, 7))
+        gamma[2, 3] = 0.95
+        small, large = exact_ot(gamma), exact_ot(np.ldexp(gamma, power))
+        assert large.pi.tobytes() == small.pi.tobytes()
+        assert large.value == math.ldexp(small.value, power)
+
+    @pytest.mark.parametrize("gamma", [
+        np.random.default_rng(107).uniform(0.0, 1.0, size=(5, 7)) * 1e19,
+        np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) * 1e20,
+        np.zeros((4, 6)),
+    ], ids=["random 1e19", "two rows 1e20", "all zero"])
+    def test_large_and_zero_costs_solve(self, gamma):
+        sol = exact_ot(gamma)
+        assert sol.row_residual_l1 + sol.col_residual_l1 < 1e-9
+        assert sol.value == pytest.approx(transport_value(sol.pi, gamma), rel=1e-9, abs=0.0)
 
     def test_rectangular_lp_constraints_are_sparse(self, monkeypatch):
         m, n = 3, 5
