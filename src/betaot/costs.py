@@ -79,9 +79,10 @@ class SqEuclideanCost:
     takes a cost reads ``dense()`` through ``__array__``.
 
     Every block keeps the cost rule: once ``d * (max|x| + max|y|)^2``
-    times the scales reaches :data:`_FINITE_BOUND`, each block goes
-    through ``solver._validate_cost`` and an overflow raises its
-    ``ValueError``.  Below that bound no entry can overflow.
+    times the scales reaches :data:`_FINITE_BOUND`, each nonempty block
+    goes through ``solver._validate_cost`` and an overflow raises its
+    ``ValueError``.  Below that bound no entry can overflow.  An empty
+    row slice gives the empty block on either side of the bound.
     """
 
     def __init__(self, x, y):
@@ -112,7 +113,9 @@ class SqEuclideanCost:
         with np.errstate(over="ignore"):  # overflows reach the bound and raise below
             for scale in self._scales:
                 np.multiply(block, scale, out=block)
-        return block if self._bound < _FINITE_BOUND else _validate_cost(block)
+        if self._bound < _FINITE_BOUND or not block.size:
+            return block
+        return _validate_cost(block)
 
     def dense(self) -> np.ndarray:
         """The m x n cost matrix."""

@@ -5,17 +5,15 @@ an optional single header row (detected by a non-numeric first row).
 Cost matrices and plans are dense comma-separated rows without headers.
 Both are read by one reader: ``np.loadtxt``, else one line parser, so
 each error reads the same.  Plans are written with full round-trip
-precision and exact zeros as the literal ``0``.
+precision and exact zeros as the literal ``0``: each entry is
+:func:`format_value` of it, ``repr`` of the float.
 
-Nearly all of a large write is ``repr`` of each float, under the GIL.
-So a write of at least ``2 * _MIN_HELPER_ENTRIES`` entries, with two or
-more usable CPUs, spreads its rows over helper processes: the same
-interpreter running the numpy-free ``_csvrows`` module, which holds the
-one row formatter.  Each helper formats one contiguous chunk of rows
-into an anonymous temporary file; this process formats the first chunk
-and appends the helpers' files in order.  The bytes are the same as
-without helpers, since any chunk whose helper fails is formatted here,
-and no helper outlives the call.
+The writers format blocks of about ``_BLOCK_ENTRIES`` entries (whole
+rows) with one numpy kernel, ``_ryu.csv_rows``, which gives ``repr``'s
+shortest digits and layout from the IEEE bits (NaN and the infinities
+get ``repr``'s text from a table).  A write runs on the calling thread
+in this process, holds about one block at a time, and starts no
+process or thread.
 
 Reports are line-oriented ``key=value`` text, key-sorted for stable
 diffs, plus a JSON sidecar with the same fields.
@@ -23,19 +21,16 @@ diffs, plus a JSON sidecar with the same fields.
 
 import hashlib
 import json
-import shutil
-import sys
-import tempfile
 from collections import namedtuple
 
 import numpy as np
 
-from . import _csvrows, solver
+from . import _ryu
 from .errors import FormatError
 
-# Entries per helper process.  Formatting them takes about 0.15 s, far
-# more than the 15-30 ms a helper takes to start.
-_MIN_HELPER_ENTRIES = 100_000
+# Entries per written block: the kernel's arrays for one block stay
+# near 1 MB, and the numpy calls it makes per block stay cheap.
+_BLOCK_ENTRIES = 8192
 
 
 def _parse_numeric_row(line: str):
@@ -137,108 +132,33 @@ def format_value(v: float) -> str:
     return repr(float(v))
 
 
-def _format_rows(fh, rows):
-    """Format ``rows`` here, one row at a time as Python floats."""
-    for row in rows:
-        fh.write(_csvrows.format_row(row.tolist()))
-
-
 def _write_rows(fh, mat: np.ndarray):
-    """Write the rows of ``mat`` as :func:`format_value` writes each entry.
-
-    With k = min(usable CPUs, entries // ``_MIN_HELPER_ENTRIES``, rows)
-    of at least 2, the rows are split into k contiguous chunks.  Chunks
-    2..k go to helper processes while this process formats the first;
-    then each helper's output is appended in order.  A chunk whose
-    helper cannot start, exits nonzero or leaves other than one line per
-    row is formatted here instead, so the bytes never depend on helpers.
-    """
-    m = mat.shape[0]
-    k = min(solver._usable_cpus(), mat.size // _MIN_HELPER_ENTRIES, m)
-    if k < 2 or not sys.executable:
-        _format_rows(fh, mat)
+    """Write the rows of ``mat`` to the binary file ``fh``, each entry as :func:`format_value`."""
+    m, n = mat.shape
+    if n == 0:
+        fh.write(b"\n" * m)
         return
-    bounds = [m * i // k for i in range(k + 1)]
-    first, *rest = [mat[a:b] for a, b in zip(bounds, bounds[1:])]
-    helpers = []
-    try:
-        for chunk in rest:
-            helper = _start_helper(chunk)
-            if helper is None:
-                break
-            helpers.append(helper)
-        _format_rows(fh, first)
-        for chunk, (proc, out) in zip(rest, helpers):
-            if proc.wait() == 0 and _holds_rows(out, len(chunk)):
-                fh.flush()
-                shutil.copyfileobj(out, fh.buffer)
-            else:
-                _format_rows(fh, chunk)
-        for chunk in rest[len(helpers):]:
-            _format_rows(fh, chunk)
-    finally:
-        for proc, out in helpers:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            out.close()
-
-
-def _start_helper(chunk):
-    """A helper formatting ``chunk`` into an anonymous file, or None if none starts.
-
-    The helper reads the chunk's doubles from a file of their bytes,
-    written row by row from the array's buffer.  ``subprocess`` is
-    imported here, not at start-up, which only a large write pays for.
-    """
-    import subprocess
-
-    argv = [sys.executable, "-I", "-S", _csvrows.__file__, str(chunk.shape[1])]
-    out = None
-    try:
-        with tempfile.TemporaryFile() as source:
-            for row in chunk:
-                source.write(np.ascontiguousarray(row))
-            source.seek(0)
-            out = tempfile.TemporaryFile()
-            proc = subprocess.Popen(argv, stdin=source, stdout=out, stderr=subprocess.DEVNULL)
-    except OSError:  # no temporary file or no process
-        if out is not None:
-            out.close()
-        return None
-    return proc, out
-
-
-def _holds_rows(out, rows: int) -> bool:
-    """Whether the file ``out`` holds exactly ``rows`` complete lines; rewinds it."""
-    out.seek(0)
-    count, last = 0, b""
-    for block in iter(lambda: out.read(1 << 16), b""):
-        count += block.count(b"\n")
-        last = block[-1:]
-    out.seek(0)
-    return count == rows and last == b"\n"
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, m, step):
+        fh.write(_ryu.csv_rows(np.ascontiguousarray(mat[start:start + step])))
 
 
 def write_point_cloud(path, points: np.ndarray):
     """Write a point cloud with a coordinate header row (x0, x1, ...)."""
     points = np.asarray(points, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"x{i}" for i in range(points.shape[1])) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(f"x{i}" for i in range(points.shape[1])).encode("ascii") + b"\n")
         _write_rows(fh, points)
 
 
 def write_matrix(path, mat: np.ndarray):
     """Write a dense matrix row-major at full round-trip precision.
 
-    Each entry is :func:`format_value` of it.  With two or more usable
-    CPUs, a matrix of 200,000 or more entries is formatted in helper
-    processes as well as this one (see the module docstring); the file
-    is the same byte for byte, and this process still holds only about
-    one row as Python objects.
+    Each entry is :func:`format_value` of it, formatted a block of rows
+    at a time by one numpy kernel (see the module docstring).
     """
     mat = np.asarray(mat, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         _write_rows(fh, mat)
 
 

@@ -435,8 +435,7 @@ _TWO_BLOCK_ENTRIES = 1 << 17
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask, else ``os.cpu_count``.
 
-    The one count behind the dense loop's blocks and ``fileio``'s CSV
-    helper processes.
+    The one count behind the dense loop's blocks.
     """
     try:
         return len(os.sched_getaffinity(0))

@@ -113,6 +113,13 @@ class TestLazySqEuclideanCost:
         with pytest.raises(ValueError, match=_NOT_FINITE):
             sq_euclidean_cost([[0.0]], [[1e200]])
 
+    @pytest.mark.parametrize("y", [[[1.0]], [[1e200]]], ids=["below the bound", "at it"])
+    def test_an_empty_row_slice_is_the_empty_block(self, y):
+        cost = SqEuclideanCost([[0.0], [1.0]], y)
+        assert (cost._bound < costs._FINITE_BOUND) == (y == [[1.0]])
+        for rows in (slice(5, 5), slice(1, 1), slice(2, None)):
+            assert cost[rows].shape == (0, 1)
+
     @settings(max_examples=150, deadline=None)
     @given(overflow_instances())
     def test_every_block_keeps_the_cost_rule(self, instance):

@@ -1,21 +1,23 @@
 """CSV readers and writers: the fast reader against the one line parser, the
-writers (with and without helper processes) against ``format_value``."""
+writers and their numpy kernel against ``format_value``."""
 
-import contextlib
+import builtins
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from betaot import SolverConfig, _csvrows, fileio, robust_solve, solver
+from betaot import SolverConfig, _ryu, fileio, robust_solve, solver
 from betaot.fileio import (
     format_value,
     read_cost_matrix,
@@ -175,62 +177,110 @@ class TestWritersMatchFormatValue:
         assert _written(write_point_cloud, points) == expected
 
 
-@contextlib.contextmanager
-def helpers_on(cpus, min_entries=1):
-    """Helpers from ``min_entries`` entries on, for ``cpus`` usable CPUs.
-
-    Yields the list of the row counts this process formats itself, one
-    per call of ``fileio._format_rows``.  A write whose helpers all work
-    makes one such call, for its first chunk.
-    """
-    formatted = []
-    format_rows = fileio._format_rows
-
-    def recording(fh, rows):
-        formatted.append(len(rows))
-        format_rows(fh, rows)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fileio, "_MIN_HELPER_ENTRIES", min_entries)
-        mp.setattr(solver, "_usable_cpus", lambda: cpus)
-        mp.setattr(fileio, "_format_rows", recording)
-        yield formatted
+def _kernel(values) -> bytes:
+    """The kernel's line for ``values`` as one row."""
+    return _ryu.csv_rows(np.array([values], dtype=float))
 
 
-def _in_helpers(write, mat, **kwargs) -> bytes:
-    """What ``write`` writes with every chunk but the first in a helper."""
-    with helpers_on(3) as formatted:
-        out = _written(write, mat, **kwargs)
-    assert len(formatted) == 1
-    return out
+def _line(values) -> bytes:
+    return (",".join(format_value(v) for v in values) + "\n").encode("ascii")
 
 
-class TestWritersInHelpersMatchFormatValue:
-    """The writers' test above with three chunks, two of them in helpers.
+def _neighbours(values):
+    """``values``, their neighbouring doubles and the negatives of all three."""
+    out = []
+    for v in values:
+        out += [v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)]
+    return out + [-v for v in out]
 
-    A matrix with fewer rows takes one chunk per row; one without
-    entries is written here.
-    """
 
-    @settings(max_examples=100, deadline=None)
-    @given(matrices())
-    @example(np.zeros((0, 3)))
-    @example(np.zeros((3, 0)))
-    @example(np.array([EDGE_VALUES]))
-    @example(np.array(EDGE_VALUES).reshape(2, 8))
-    @example(np.array(EDGE_VALUES).reshape(4, 4))
-    def test_matrix(self, mat):
-        assert _in_helpers(write_matrix, mat) == _per_entry(mat).encode("utf-8")
+# Ryu's general case: an exact vr (powers of two, integers, short binary
+# fractions) or an exponent where a bound may be exact (2**52 to 2**130).
+GENERAL = [0.5, 0.25, 3.0, 123.0, 1e22, 1e23, 2.0**54, 2.0**54 + 4, 2.0**60 + 2**9,
+           2.0**75, 1.5, 9007199254740992.0, 4503599627370497.0]
 
-    @settings(max_examples=50, deadline=None)
-    @given(matrices())
-    @example(np.zeros((0, 3)))
-    @example(np.zeros((3, 0)))
-    @example(np.array(EDGE_VALUES).reshape(8, 2))
-    def test_point_cloud(self, points):
-        head = ",".join(f"x{i}" for i in range(points.shape[1])) + "\n"
-        expected = (head + _per_entry(points)).encode("utf-8")
-        assert _in_helpers(write_point_cloud, points) == expected
+
+class TestKernelMatchesFormatValue:
+    """``_ryu.csv_rows``, the writers' kernel, gives ``format_value`` per entry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ENTRIES, min_size=1, max_size=40))
+    @example(EDGE_VALUES)
+    def test_any_floats(self, values):
+        assert _kernel(values) == _line(values)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20261020).integers(0, 2**64, 200_000, dtype=np.uint64,
+                                                         endpoint=False)
+        top = np.uint64(0x7FF << 52)
+        bits ^= ((bits & top) == top).astype(np.uint64) << np.uint64(52)  # NaN/inf -> finite
+        values = bits.view(np.float64).reshape(200, 1000)
+        assert np.isfinite(values).all()
+        assert _written(write_matrix, values) == _per_entry(values).encode("ascii")
+
+    def test_powers_of_two_and_ten(self):
+        values = _neighbours([math.ldexp(1.0, e) for e in range(-1074, 1024)]
+                             + [float(f"1e{e}") for e in range(-323, 309)])
+        assert _kernel(values) == _line(values)
+
+    def test_integers_subnormals_and_switch_points(self):
+        rng = np.random.default_rng(3)
+        integers = np.concatenate([
+            np.arange(100_000), 2**53 - np.arange(1000), rng.integers(0, 2**53, 20_000),
+        ]).astype(float)
+        subnormals = (rng.integers(1, 2**52, 20_000, dtype=np.uint64)).view(np.float64)
+        switches = _neighbours([1e-5, 1e-4, 1e15, 1e16, 1e17, 0.001, 2.0**53])
+        values = np.concatenate([integers, -integers, subnormals, -subnormals, switches])
+        assert _kernel(values) == _line(values)
+
+    def test_a_block_of_integers_skips_ryu(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        values = np.concatenate([
+            np.arange(-1000, 1000), rng.integers(-2**53, 2**53, 10_000),
+            [9999999999999998, -9999999999999998, 2**53, 2**53 - 1, 0],
+        ]).astype(float)
+        values = np.append(values, -0.0)
+        expected = _line(values)
+
+        def refusing(bits):
+            raise AssertionError("Ryu ran on a block of integers")
+
+        monkeypatch.setattr(_ryu, "_shortest", refusing)
+        assert _kernel(values) == expected
+
+    def test_general_case_runs_in_the_kernel(self):
+        values = np.array(_neighbours(GENERAL) + list(range(1, 500)), dtype=float)
+        values = values[values != 0.0]  # _shortest takes nonzero finite doubles
+        expected = _line(values)
+        t = _ryu._tables()  # built once, before repr is refused
+        bits = np.abs(values).view(np.uint64)
+        field = (bits >> np.uint64(52)).view(np.int64)
+        m2 = (bits & _ryu._MANT) | np.where(field > 0, np.uint64(1 << 52), np.uint64(0))
+        general = ((m2 & t.tz_mask[field]) == 0) | t.rare[field]
+        assert general[np.isin(np.abs(values), GENERAL)].all()
+
+        def refusing(obj):
+            raise AssertionError(f"repr({obj!r}) called")
+
+        with mock.patch.object(builtins, "repr", refusing):
+            written = _kernel(values)
+            output, exponent = _ryu._shortest(bits)
+        assert written == expected
+        # Integers skip Ryu in the writer; Ryu's own digits for them are repr's too.
+        for value, digits, power in zip(values, output, exponent):
+            sign, shown, exp = Decimal(repr(abs(float(value)))).normalize().as_tuple()
+            assert (int(digits), int(power)) == (int("".join(map(str, shown))), exp), value
+
+    def test_a_write_starts_no_process_or_thread(self, monkeypatch):
+        plan = _plan(600, 600)  # 360,000 entries: past the size that once took helpers
+
+        def refusing(*args, **kwargs):
+            raise AssertionError("a write started a process or a thread")
+
+        monkeypatch.setattr(subprocess, "Popen", refusing)
+        monkeypatch.setattr(threading, "Thread", refusing)
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 4)
+        assert _written(write_matrix, plan) == _per_entry(plan).encode("utf-8")
 
 
 def _plan(m, n):
@@ -242,51 +292,7 @@ def _plan(m, n):
 
 
 class TestHelpers:
-    def test_plan_at_the_real_threshold(self, capfd):
-        plan = _plan(600, 600)
-        assert (plan == 0.0).any() and (plan > 0.0).any()
-        assert plan.size // fileio._MIN_HELPER_ENTRIES == 3
-        with helpers_on(3, fileio._MIN_HELPER_ENTRIES) as formatted:
-            out = _written(write_matrix, plan)
-        assert out == _per_entry(plan).encode("utf-8")
-        assert formatted == [200]
-        assert capfd.readouterr().out == ""
-
-    @pytest.mark.parametrize(
-        "executable", ["", "/nonexistent/python", "/bin/false", "/bin/true", "rows-then-exit-1"]
-    )
-    def test_a_failed_helper_changes_no_byte(self, executable, tmp_path, capfd, monkeypatch):
-        mat = np.array(EDGE_VALUES * 4).reshape(8, 8)
-        if executable == "rows-then-exit-1":
-            # As many lines as each helper's chunk has rows (3 of 8), then a failure.
-            fake = tmp_path / "python"
-            fake.write_text("#!/bin/sh\nprintf 'x\\nx\\nx\\n'\nexit 1\n")
-            fake.chmod(0o755)
-            executable = str(fake)
-        monkeypatch.setattr(sys, "executable", executable)
-        with helpers_on(3) as formatted:
-            out = _written(write_matrix, mat)
-        assert out == _per_entry(mat).encode("utf-8")
-        assert sum(formatted) == 8  # every row, none from a helper
-        assert capfd.readouterr().out == ""
-
-    def test_an_error_in_the_parent_reaps_every_helper(self, monkeypatch):
-        started = []
-
-        class Recording(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                started.append(self)
-
-        def failing(values):
-            raise RuntimeError("parent failed")
-
-        monkeypatch.setattr(subprocess, "Popen", Recording)
-        monkeypatch.setattr(_csvrows, "format_row", failing)
-        with helpers_on(3), pytest.raises(RuntimeError, match="parent failed"):
-            _written(write_matrix, np.ones((9, 4)))
-        assert len(started) == 2
-        assert all(proc.returncode is not None for proc in started)
+    """What a write holds and loads: one block at a time, and no ``subprocess``."""
 
     def test_parent_memory_stays_per_row(self, monkeypatch):
         # A 1000 x 1000 matrix is 8 MB; the parent may hold a few rows.
