@@ -4,8 +4,9 @@ Every command echoes a key-sorted ``key=value`` report to stdout and,
 with ``--out``, writes output files plus a JSON report sidecar.  Fixed
 seeds and inputs reproduce every report field except wall-clock timing.
 
-Exit codes: 0 success, 2 input/format error, 3 infeasible tolerance or
-iteration budget, 4 numerical failure.
+Exit codes: 0 success; 2 input/format error, or an input too large for
+memory; 3 infeasible tolerance or iteration budget, a derived budget of
+2**49 or more included; 4 numerical failure.
 """
 
 import argparse
@@ -65,6 +66,7 @@ def _parse_target_range(text: str) -> tuple[int, int]:
 
 
 def _parse_dist_component(text: str):
+    """``(dim, draw)`` for one spec component; ``draw(rng)`` samples its points."""
     parts = text.strip().split(":")
     kind = parts[0].strip().lower()
     params = {}
@@ -80,7 +82,7 @@ def _parse_dist_component(text: str):
             count = int(params["count"])
             if not (0 <= scale < math.inf and np.isfinite(mean).all()) or count < 0:
                 raise ValueError
-            return ("gaussian", mean, scale, count, mean.size)
+            return mean.size, lambda rng: mean + scale * rng.standard_normal((count, mean.size))
         if kind == "uniform":
             lo, hi = (float(v) for v in params["box"].split(","))
             dim = int(params["dim"])
@@ -88,7 +90,7 @@ def _parse_dist_component(text: str):
             # A NaN or infinite bound makes the width non-finite too.
             if hi < lo or not math.isfinite(hi - lo) or dim < 1 or count < 0:
                 raise ValueError
-            return ("uniform", lo, hi, count, dim)
+            return dim, lambda rng: rng.uniform(lo, hi, size=(count, dim))
     except (KeyError, ValueError) as exc:
         raise FormatError(f"invalid spec component {text!r}") from exc
     raise FormatError(f"unknown distribution kind {kind!r}")
@@ -102,67 +104,55 @@ def sample_spec(spec: str, seed: int) -> np.ndarray:
     deviation S) or ``uniform:box=LO,HI:dim=D:count=N`` (the box [LO,HI]^D).
     All components must share one dimension.  Every number must be finite,
     as must the box width HI - LO and every point drawn; otherwise
-    :class:`FormatError`.
+    :class:`FormatError`.  The components draw in order from one
+    ``default_rng(seed)``: ``mean + S * standard_normal((N, D))`` and
+    ``uniform(LO, HI, (N, D))``.
     """
     components = [_parse_dist_component(c) for c in spec.split("+")]
-    dims = {c[-1] for c in components}
+    dims = {dim for dim, _ in components}
     if len(dims) != 1:
         raise FormatError(f"spec components disagree on dimension: {sorted(dims)}")
-    dim = dims.pop()
     rng = np.random.default_rng(seed)
-    blocks = []
     with np.errstate(over="ignore"):  # a point beyond the floats raises below
-        for comp in components:
-            if comp[0] == "gaussian":
-                _, mean, scale, count, _ = comp
-                blocks.append(mean[None, :] + scale * rng.standard_normal((count, dim)))
-            else:
-                _, lo, hi, count, _ = comp
-                blocks.append(rng.uniform(lo, hi, size=(count, dim)))
-    points = np.vstack(blocks)
+        points = np.vstack([draw(rng) for _, draw in components])
     if not np.all(np.isfinite(points)):
         raise FormatError(f"spec {spec!r} draws points beyond the floats")
     return points
 
 
 def _run_robust(gamma, z, args, fields):
-    """Shared robust-mode pipeline: optional rescale, budget, solve.
+    """Shared robust-mode pipeline: optional rescale, then ``--T`` or the budget's iterations.
 
     Returns the plan; the reported value is always w.r.t. the unscaled
     input cost.
     """
     cfg = SolverConfig(beta=args.beta, lam=args.lam)
-    scale = 1.0
-    gamma_solve, z_solve = gamma, z
+    scale, gamma_solve, z_solve = 1.0, gamma, z
     if args.auto_scale:
         scale, gamma_solve, z_solve = auto_scale(
             gamma, z, cfg, _parse_target_range(args.target_T)
         )
-    m, n = gamma.shape
+    certified = True  # a derived budget is, by its definition
     if args.T is not None:
-        iterations = args.T
         # Any reason the bound cannot be computed leaves T uncertified; an
         # invalid beta or lambda still fails in the solver.
         try:
-            certified = iterations <= iteration_budget(z_solve, cfg, m, n).budget
+            certified = args.T <= iteration_budget(z_solve, cfg, *gamma.shape).budget
         except BetaOTError:
             certified = False
-    else:
-        iterations = iteration_budget(z_solve, cfg, m, n).budget
-        certified = True
-    cfg.iterations = iterations
+    cfg.iterations, cfg.z = args.T, z_solve
     plan = robust_solve(gamma_solve, cfg)
     if not np.any(plan.entries.values):
         sys.stderr.write("warning: the robust plan is all zeros; it moves no mass\n")
-    fields.update(
-        beta=args.beta,
-        **{"lambda": args.lam},
-        z=float(z),
-        T=iterations,
-        scale=float(scale),
-        robustness_certified=certified,
-    )
+    fields.update({"beta": args.beta, "lambda": args.lam, "z": float(z), "T": plan.iterations_run,
+                   "scale": float(scale), "robustness_certified": certified})
     return plan
+
+
+def _plan_fields(fields, plan):
+    """Record the plan's residuals, iteration count and convergence (None is left out)."""
+    fields.update(row_residual_l1=plan.row_residual_l1, col_residual_l1=plan.col_residual_l1,
+                  iterations_run=plan.iterations_run, converged=plan.converged)
 
 
 def _solve_mode(gamma, args, fields):
@@ -171,6 +161,7 @@ def _solve_mode(gamma, args, fields):
     Returns the :class:`TransportPlan`.  Its ``pi`` is not read here, so
     a robust plan stays as its entries unless the caller reads it.
     """
+    fields["mode"] = args.mode
     if args.mode == "exact":
         # No iteration count: a None field is left out of the report.
         plan = exact_ot(gamma)
@@ -186,19 +177,17 @@ def _solve_mode(gamma, args, fields):
         fields["lambda"] = args.lam
         plan = sinkhorn_solve(gamma, args.lam, args.sinkhorn_tol, args.max_iter)
     # The solve ran on gamma itself unless robust mode rescaled it.
-    if fields.get("scale", 1.0) == 1.0:
-        value = plan.value
-    else:
-        value = transport_value(plan, gamma)
-    fields.update(
-        value=value,
-        row_residual_l1=plan.row_residual_l1,
-        col_residual_l1=plan.col_residual_l1,
-        iterations_run=plan.iterations_run,
-    )
-    if plan.converged is not None:
-        fields["converged"] = plan.converged
+    rescaled = fields.get("scale", 1.0) != 1.0
+    fields["value"] = transport_value(plan, gamma) if rescaled else plan.value
+    _plan_fields(fields, plan)
     return plan
+
+
+def _fields(command, shape, **inputs):
+    """A report's header: the command, the cost's shape and each input file's sha256."""
+    m, n = shape
+    hashes = {f"sha256_{name}": sha256_file(path) for name, path in inputs.items()}
+    return {"command": command, "m": m, "n": n, **hashes}
 
 
 def _finish(fields, start: float, report_path) -> int:
@@ -214,32 +203,17 @@ def cmd_gen(args) -> int:
     start = time.perf_counter()
     points = sample_spec(args.spec, args.seed)
     write_point_cloud(args.out, points)
-    fields = {
-        "command": "gen",
-        "spec": args.spec,
-        "seed": args.seed,
-        "count": int(points.shape[0]),
-        "dim": int(points.shape[1]),
-        "out": args.out,
-        "sha256_out": sha256_file(args.out),
-    }
+    count, dim = points.shape
+    fields = {"command": "gen", "spec": args.spec, "seed": args.seed, "count": count,
+              "dim": dim, "out": args.out, "sha256_out": sha256_file(args.out)}
     return _finish(fields, start, None)
 
 
 def cmd_distance(args) -> int:
     start = time.perf_counter()
-    x = read_point_cloud(args.x)
-    y = read_point_cloud(args.y)
+    x, y = read_point_cloud(args.x), read_point_cloud(args.y)
     gamma = sq_euclidean_cost(x, y)
-    m, n = gamma.shape
-    fields = {
-        "command": "distance",
-        "mode": args.mode,
-        "m": m,
-        "n": n,
-        "sha256_x": sha256_file(args.x),
-        "sha256_y": sha256_file(args.y),
-    }
+    fields = _fields("distance", gamma.shape, x=args.x, y=args.y)
     _solve_mode(gamma, args, fields)
     return _finish(fields, start, args.out)
 
@@ -247,30 +221,15 @@ def cmd_distance(args) -> int:
 def cmd_detect(args) -> int:
     start = time.perf_counter()
     _check_eps_zero(args.eps_zero)  # before the inputs are read and solved
-    clean = read_point_cloud(args.clean)
-    dirty = read_point_cloud(args.dirty)
+    clean, dirty = read_point_cloud(args.clean), read_point_cloud(args.dirty)
     gamma = SqEuclideanCost(clean, dirty)
-    m, n = gamma.shape
-    fields = {
-        "command": "detect",
-        "m": m,
-        "n": n,
-        "percentile": args.percentile,
-        "seed": args.seed,
-        "eps_zero": args.eps_zero,
-        "sha256_clean": sha256_file(args.clean),
-        "sha256_dirty": sha256_file(args.dirty),
-    }
+    fields = _fields("detect", gamma.shape, clean=args.clean, dirty=args.dirty)
+    fields.update(percentile=args.percentile, seed=args.seed, eps_zero=args.eps_zero)
     z = args.z if args.z is not None else estimate_z(clean, args.percentile, args.seed)
     plan = _run_robust(gamma, z, args, fields)
+    _plan_fields(fields, plan)
     report = detect_outliers(plan, eps_zero=args.eps_zero)
-    fields.update(
-        flagged=report.flagged,
-        n_flagged=len(report.flagged),
-        row_residual_l1=plan.row_residual_l1,
-        col_residual_l1=plan.col_residual_l1,
-        iterations_run=plan.iterations_run,
-    )
+    fields.update(flagged=report.flagged, n_flagged=len(report.flagged))
     if args.truth:
         metrics = detection_metrics(report, read_truth(args.truth))
         fields.update(
@@ -283,15 +242,8 @@ def cmd_detect(args) -> int:
 def cmd_solve(args) -> int:
     start = time.perf_counter()
     gamma = read_cost_matrix(args.cost)
-    m, n = gamma.shape
-    fields = {
-        "command": "solve",
-        "mode": args.mode,
-        "m": m,
-        "n": n,
-        "sha256_cost": sha256_file(args.cost),
-        "plan_out": args.out,
-    }
+    fields = _fields("solve", gamma.shape, cost=args.cost)
+    fields["plan_out"] = args.out
     plan = _solve_mode(gamma, args, fields)
     write_matrix(args.out, plan.pi)
     return _finish(fields, start, str(args.out) + ".report")
@@ -367,6 +319,9 @@ def main(argv=None) -> int:
     except NumericalUnderflowError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
+    except MemoryError as exc:  # an input too large for memory
+        sys.stderr.write(f"error: out of memory: {exc}\n")
+        return 2
     except (FormatError, OSError, BetaOTError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -180,7 +180,8 @@ def auto_scale(cost, z: float, cfg: SolverConfig, target_range: tuple[int, int])
 
     Returns ``(scale, scaled_cost, scaled_z)``.  When the unscaled budget
     is already inside the range, returns scale 1 and the inputs unchanged.
-    A :class:`SqEuclideanCost` comes back rescaled and still unevaluated.
+    A :class:`SqEuclideanCost` comes back rescaled and still unevaluated,
+    and a dense cost with inf where the scale overflows an entry.
     An empty, non-2-D or non-finite dense cost raises :class:`DimensionMismatchError`
     or ``ValueError``, and range ends that are not counts :class:`DomainError`.
     """
@@ -211,7 +212,10 @@ def auto_scale(cost, z: float, cfg: SolverConfig, target_range: tuple[int, int])
         except (InfeasibleToleranceError, BudgetExhaustedError):
             continue
         if lo <= budget <= hi:
-            return s, gamma.scaled(s) if lazy else s * gamma, s * z
+            # An entry scaled beyond the floats is inf, which the solver
+            # rejects as it does a lazy cost's.
+            with np.errstate(over="ignore"):
+                return s, gamma.scaled(s) if lazy else s * gamma, s * z
     raise AutoScaleError(
         f"no scale places the iteration budget inside [{lo}, {hi}] "
         f"for beta={beta}, lam={lam}, z={z}, shape=({m}, {n})"

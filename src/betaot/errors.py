@@ -18,7 +18,7 @@ class InfeasibleToleranceError(BetaOTError, ValueError):
 
 
 class BudgetExhaustedError(BetaOTError, ValueError):
-    """The derived iteration budget is below 1; rescale the data (see auto_scale)."""
+    """The derived iteration budget is below 1 or, at 2**49 or more, cannot finish."""
 
 
 class AutoScaleError(BetaOTError, ValueError):

@@ -234,12 +234,23 @@ def _decrement_sum(beta: float, m: int, n: int) -> float:
     return total
 
 
+# Below this count T*u <= 1/16 (u = 2**-53), which _certified_cost's margin
+# needs; a derived budget of at least this many iterations cannot finish.
+_CERTIFIED_T_LIMIT = 2**49
+
+
 def _resolve_iterations(cfg: SolverConfig, m: int, n: int) -> int:
     if cfg.iterations is not None:
         return _count("iterations", cfg.iterations)
-    if cfg.z is not None:
-        return iteration_budget(cfg.z, cfg, m, n).budget
-    raise ValueError("SolverConfig needs either iterations or z")
+    if cfg.z is None:
+        raise ValueError("SolverConfig needs either iterations or z")
+    budget = iteration_budget(cfg.z, cfg, m, n).budget
+    if budget >= _CERTIFIED_T_LIMIT:
+        raise BudgetExhaustedError(
+            f"iteration budget {budget:.3g} >= 2**49 for z={cfg.z} cannot finish; "
+            "rescale the cost and z (see auto_scale)"
+        )
+    return budget
 
 
 def _certified_cost(pot: Potential, lam: float, m: int, n: int, iterations: int) -> float:
@@ -262,11 +273,11 @@ def _certified_cost(pot: Potential, lam: float, m: int, n: int, iterations: int)
     there.  The returned level is ``-lam * x`` with about twice that
     margin, which covers its own roundings, so a cost at or above it has
     ``fl(-cost/lam) <= x``.  A larger margin only keeps more entries in
-    the loop.  Beyond ``T*u = 1/16`` every entry is kept (``inf``).
+    the loop.  From ``_CERTIFIED_T_LIMIT`` (``T*u = 1/16``) every entry is kept.
     The certificate does not depend on the order in which a line's
     ``psi'``/``psi''`` terms are summed: no sum enters the bound.
     """
-    if iterations >= 2**49:
+    if iterations >= _CERTIFIED_T_LIMIT:
         return math.inf
     bound = pot.clamp_bound
     rise = -(bound - phi_prime(1.0 / m, pot)) - (bound - phi_prime(1.0 / n, pot))

@@ -1,15 +1,24 @@
 """Command-line surface: CSV formats, reports, exit codes, determinism."""
 
+import argparse
 import ast
+import contextlib
+import io
 import json
+import os
+import signal
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from dense_reference import dense_robust_solve, dense_sinkhorn_log
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from betaot import (
     SolverConfig,
@@ -27,7 +36,7 @@ from betaot import (
     squared_euclidean,
     transport_value,
 )
-from betaot.cli import main, sample_spec
+from betaot.cli import build_parser, main, sample_spec
 from betaot.fileio import read_cost_matrix, read_point_cloud, write_matrix, write_point_cloud
 from betaot.solver import _candidate_entries, _certified_cost
 
@@ -46,6 +55,26 @@ def load_json_report(path):
 
 def numeric_fields(report):
     return {k: v for k, v in report.items() if k != "wall_ms"}
+
+
+class Hang(BaseException):
+    """Raised by :func:`_deadline`; no handler in the CLI catches it."""
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise :class:`Hang` in the block once ``seconds`` of wall time pass."""
+
+    def ring(signum, frame):
+        raise Hang(f"no exit within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestGen:
@@ -106,6 +135,26 @@ class TestGen:
     def test_point_mass_component(self):
         pts = sample_spec("gaussian:mean=70:scale=0:count=5", seed=0)
         np.testing.assert_array_equal(pts, np.full((5, 1), 70.0))
+
+    def test_mixture_takes_the_documented_draws_in_order(self):
+        spec = ("gaussian:mean=1,-2:scale=3:count=4 + uniform:box=-5,7:dim=2:count=3"
+                " + gaussian:mean=0.5,0:count=2")
+        rng = np.random.default_rng(29)
+        expected = np.vstack([
+            np.array([1.0, -2.0]) + 3.0 * rng.standard_normal((4, 2)),
+            rng.uniform(-5.0, 7.0, (3, 2)),
+            np.array([0.5, 0.0]) + 1.0 * rng.standard_normal((2, 2)),
+        ])
+        assert sample_spec(spec, 29).tobytes() == expected.tobytes()
+
+    def test_spec_too_large_for_memory_exits_two_without_output(self, tmp_path, capsys):
+        # 728 TiB exceeds the user address space, so the allocation fails at once.
+        out = tmp_path / "x.csv"
+        assert run_cli("gen", "--spec", "gaussian:mean=0:count=100000000000000",
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestDistance:
@@ -323,6 +372,16 @@ class TestSolve:
         write_matrix(expected, pi)
         assert plan_path.read_bytes() == expected.read_bytes()
 
+    def test_cost_rescaled_beyond_the_floats_exits_two(self, tmp_path, capsys):
+        # --auto-scale multiplies this cost by about 9.6; a numpy overflow
+        # warning escaped before the solver rejected the inf entry.
+        cost, plan_path = tmp_path / "c.csv", tmp_path / "p.csv"
+        cost.write_text("1e308,0\n0,1\n")
+        assert run_cli("solve", "--cost", cost, "--z", 20, "--auto-scale",
+                       "--out", plan_path) == 2
+        assert capsys.readouterr().err == "error: cost matrix must be finite (no NaN/Inf)\n"
+        assert not plan_path.exists()
+
     def test_sinkhorn_closed_form_value_in_report(self, tmp_path):
         cost = tmp_path / "c.csv"
         cost.write_text("0,1\n1,0\n")
@@ -417,6 +476,12 @@ MODE_KEYS = {
 }
 
 
+DETECT_KEYS = {"command", "m", "n", "percentile", "seed", "eps_zero", "sha256_clean",
+               "sha256_dirty", "beta", "lambda", "z", "T", "scale", "robustness_certified",
+               "flagged", "n_flagged", "row_residual_l1", "col_residual_l1", "iterations_run",
+               "wall_ms"}
+
+
 def _library_plan(mode, gamma):
     """The plan array and value the library gives for the CLI's defaults in ``mode``."""
     if mode == "exact":
@@ -498,6 +563,54 @@ class TestModeReports:
             assert sidecar["value"] == pytest.approx(transport_value(pi, gamma), rel=1e-9)
         else:
             assert sidecar["value"] == sinkhorn_solve(gamma, 1.0).value
+
+    @pytest.mark.parametrize("flags, extra", [
+        (["--auto-scale"], set()),
+        (["--auto-scale", "--truth", "truth.txt"], {"outlier_recall", "inlier_specificity"}),
+        (["--z", 300, "--T", 3], set()),
+    ])
+    def test_detect_report(self, tmp_path, capsys, flags, extra):
+        rng = np.random.default_rng(33)
+        clean, dirty = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+        write_point_cloud(clean, rng.standard_normal((20, 3)))
+        write_point_cloud(dirty, np.vstack([rng.standard_normal((8, 3)), [[40.0, 0.0, 0.0]]]))
+        (tmp_path / "truth.txt").write_text("8\n")
+        flags = [tmp_path / f if f == "truth.txt" else f for f in flags]
+        out = tmp_path / "rep.txt"
+        capsys.readouterr()
+        assert run_cli("detect", "--clean", clean, "--dirty", dirty, *flags, "--out", out) == 0
+        stdout = capsys.readouterr().out
+        keys = DETECT_KEYS | extra
+        assert out.read_text() == stdout
+        assert {line.split("=", 1)[0] for line in stdout.splitlines()} == keys
+        assert set(load_json_report(out)) == keys
+
+
+class TestUnfinishableBudget:
+    """A derived budget of 2**49 or more iterations exits 3 at once; it once ran unbounded."""
+
+    HINT = "hint: --auto-scale can rescale the problem into budget"
+
+    def test_solve_exits_three_within_a_second(self, tmp_path, capsys):
+        cost, out = tmp_path / "c.csv", tmp_path / "plan.csv"
+        cost.write_text("0,1\n1,0\n")
+        start = time.perf_counter()
+        with _deadline(5.0):
+            code = run_cli("solve", "--mode", "robust", "--z", "1e308",
+                           "--cost", cost, "--out", out)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        error, hint = capsys.readouterr().err.splitlines()
+        assert error.startswith("error: iteration budget ") and hint == self.HINT
+        assert not out.exists()
+
+    def test_auto_scale_still_rescales_into_the_target_range(self, tmp_path):
+        cost, out = tmp_path / "c.csv", tmp_path / "plan.csv"
+        cost.write_text("0,1\n1,0\n")
+        assert run_cli("solve", "--mode", "robust", "--z", "1e308", "--auto-scale",
+                       "--cost", cost, "--out", out) == 0
+        report = load_json_report(str(out) + ".report")
+        assert 1 <= report["T"] <= 20 and report["robustness_certified"] is True
 
 
 class TestDetect:
@@ -753,3 +866,171 @@ class TestStartup:
         )
         where = "costs.SqEuclideanCost.__getitem__"
         assert found == [("call", where), ("import", where)]
+
+
+# Numbers that have ended in tracebacks, hangs or wrong exit codes before.
+NUMBERS = ["0", "-0", "1", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "2.0",
+           "-3.0"]
+# Ordinary values per option; with them a command runs to its end.
+ORDINARY = {
+    "beta": ["1.2", "1.5", "2"], "lam": ["2", "1"], "z": ["20", "50", "100"],
+    "T": ["1", "3", "8"], "seed": ["0", "3"], "percentile": ["99", "50", "100"],
+    "eps_zero": ["1e-12", "0.01"], "sinkhorn_tol": ["1e-9", "1e-3"],
+    "max_iter": ["1", "50", "200"], "target_T": ["1..20", "3..5", "2..2"],
+}
+BAD_RANGES = ["x", "5..1", "0..3", "1..1e3", "-1..2"]
+# Point-cloud, cost and truth files by option.
+FILE_OPTIONS = {"x": ["a.csv", "b.csv"], "y": ["b.csv", "a.csv"], "clean": ["a.csv", "b.csv"],
+                "dirty": ["b.csv", "a.csv"], "cost": ["c.csv"], "truth": ["t.txt"]}
+
+
+def _one_in(draw, k):
+    """True about once in ``k`` draws."""
+    return draw(st.sampled_from([False] * (k - 1) + [True]))
+
+
+def _csv(draw, rows, tokens):
+    """The CSV ``rows``; about once in 5 with one defect: a ragged row, a blank
+    line, no content, or an entry replaced by one of ``tokens``."""
+    rows, defect = [list(row) for row in rows], None
+    if _one_in(draw, 5):
+        defect = draw(st.sampled_from(["ragged", "blank", "empty", "token"]))
+    if defect == "ragged" and len(rows[-1]) > 1:
+        rows[-1].pop()
+    elif defect == "blank":
+        rows.insert(1, [])
+    elif defect == "empty":
+        return ""
+    elif defect == "token":
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(tokens))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@st.composite
+def _cloud(draw, dim):
+    count = draw(st.integers(4, 8))
+    values = st.floats(-3.0, 3.0, allow_subnormal=False).map(repr)
+    rows = [[draw(values) for _ in range(dim)] for _ in range(count)]
+    if draw(st.booleans()):
+        rows.insert(0, [f"x{k}" for k in range(dim)])
+    return _csv(draw, rows, ["nan", "inf", "1e200", "abc", ""])
+
+
+@st.composite
+def _cost(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    values = st.floats(0.0, 100.0, allow_subnormal=False).map(repr)
+    rows = [[draw(values) for _ in range(n)] for _ in range(m)]
+    return _csv(draw, rows, ["-1", "nan", "inf", "abc", "1e308", "x0"])
+
+
+@st.composite
+def _spec(draw):
+    def number():
+        return draw(st.sampled_from(NUMBERS if _one_in(draw, 6) else ["0", "1.5", "-2"]))
+
+    dim = draw(st.integers(1, 3))
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        count = draw(st.sampled_from(["-1", "2.0"] if _one_in(draw, 8) else ["0", "1", "4"]))
+        if draw(st.booleans()):
+            mean = ",".join(number() for _ in range(dim))
+            parts.append(f"gaussian:mean={mean}:scale={number().lstrip('-')}:count={count}")
+        else:
+            box = draw(st.sampled_from(["2,1", "-1e308,1e308", "nan,1", "0,inf"]
+                                       if _one_in(draw, 6) else ["-1,1"]))
+            dims = 0 if _one_in(draw, 8) else dim
+            parts.append(f"uniform:box={box}:dim={dims}:count={count}")
+    return "triangle:count=3" if _one_in(draw, 10) else " + ".join(parts)
+
+
+@st.composite
+def _cli_case(draw):
+    """An argv built from the parser's own option table, with the files it names.
+
+    Paths are relative to ``{d}``, the example's own directory.
+    """
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    command = draw(st.sampled_from(sorted(subparsers.choices)))
+    dim = draw(st.integers(1, 3))
+    other = dim % 3 + 1 if _one_in(draw, 8) else dim
+    files = {"a.csv": draw(_cloud(dim)), "b.csv": draw(_cloud(other)), "c.csv": draw(_cost()),
+             "t.txt": "x\n" if _one_in(draw, 5) else "0\n2\n"}
+    argv = [command]
+    for action in subparsers.choices[command]._actions:
+        flag, dest = (action.option_strings or [None])[0], action.dest
+        if flag is None or dest == "help":
+            continue
+        # A scaling solve runs to --max-iter: give it a short one.
+        if not (action.required or dest == "max_iter" or draw(st.booleans())):
+            continue
+        if action.nargs == 0:
+            argv.append(flag)
+            continue
+        odd = _one_in(draw, 8)
+        if dest in FILE_OPTIONS:
+            names = ["missing.csv"] if odd else FILE_OPTIONS[dest]
+            value = "{d}/" + draw(st.sampled_from(names))
+        elif dest == "out":
+            value = "{d}/out.csv"
+        elif dest == "spec":
+            value = draw(_spec())
+        elif action.choices:
+            value = "bogus" if odd else draw(st.sampled_from(sorted(action.choices)))
+        elif dest == "target_T" and odd:
+            value = draw(st.sampled_from(BAD_RANGES))
+        else:
+            value = draw(st.sampled_from(NUMBERS if odd else ORDINARY[dest]))
+        argv.append(f"{flag}={value}")
+    if _one_in(draw, 20):
+        argv.append("--bogus")
+    return argv, files
+
+
+class TestFuzz:
+    """Random argv over every command: a documented exit, one error line, no traceback.
+
+    Each argv comes from the parser's own option table and is mostly
+    well formed.  Its numbers come from :data:`NUMBERS`, values that broke
+    the CLI before, or from ordinary ones, and its files are small clouds
+    and costs with at most one defect each.  Every example runs in-process
+    under a deadline, so a hang fails the test, and warnings are errors.
+
+    Left out on purpose are draws that only ask for a legitimately long
+    run: a large ``--T`` or ``--max-iter``, and a derived budget between
+    about 10^4 and 2**49 iterations.  Costs and clouds stay small, so a
+    derived budget is at most a few hundred or, from ``z=1e308`` or a
+    median near it, at least 2**49, which exits 3.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(case=_cli_case())
+    @example(case=(["solve", "--cost={d}/c.csv", "--out={d}/out.csv", "--mode=robust",
+                    "--z=1e308"], {"c.csv": "0,1\n1,0\n"}))
+    @example(case=(["gen", "--spec=gaussian:mean=0:count=100000000000000", "--out={d}/out.csv"],
+                   {}))
+    def test_every_argv_exits_as_documented(self, case):
+        argv, files = case
+        with tempfile.TemporaryDirectory() as d:
+            for name, text in files.items():
+                Path(d, name).write_text(text)
+            argv = [arg.replace("{d}", d) for arg in argv]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                with _deadline(5.0):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse rejected the argv
+                        code = exc.code
+            written = sorted(set(os.listdir(d)) - set(files))
+        lines = err.getvalue().splitlines()
+        errors = [line for line in lines if "error: " in line]
+        assert code in (0, 2, 3, 4), (argv, lines)
+        if code == 0:
+            assert all(line.startswith("warning: ") for line in lines), (argv, lines)
+        else:
+            assert len(errors) == 1, (argv, lines)
+            assert written == [], (argv, written)

@@ -175,6 +175,29 @@ class TestIterationBudget:
             100.0, cfg, 1000, 1000
         )
 
+    def test_a_derived_budget_that_cannot_finish_raises(self):
+        # The budget for z=1e308 is about 5.7e306 iterations: the solve once ran
+        # until it was killed.  The public budget and an explicit count are kept.
+        cfg = SolverConfig(beta=1.2, lam=2.0)
+        assert iteration_budget(1e308, cfg, 2, 2).budget > 2**49
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(BudgetExhaustedError, match=r"2\*\*49"):
+            robust_solve(cost, SolverConfig(z=1e308))
+        assert robust_solve(cost, SolverConfig(z=1e308, iterations=3)).iterations_run == 3
+
+    @pytest.mark.parametrize("budget, runs", [(2**49 - 1, True), (2**49, False)])
+    def test_derived_budgets_run_below_the_certificate_limit(self, budget, runs):
+        cfg = SolverConfig(z=100.0)
+        with mock.patch.object(solver, "iteration_budget",
+                               return_value=solver.IterationBudget(budget + 0.5, budget)):
+            if runs:
+                assert solver._resolve_iterations(cfg, 3, 3) == budget
+            else:
+                with pytest.raises(BudgetExhaustedError):
+                    solver._resolve_iterations(cfg, 3, 3)
+        assert _certified_cost(beta_potential(1.2), 2.0, 3, 3, 2**49) == math.inf
+        assert math.isfinite(_certified_cost(beta_potential(1.2), 2.0, 3, 3, 2**49 - 1))
+
     def test_underflowing_denominator_raises(self):
         # (1/30)^399 + (1/30)^399 underflows to 0: the bound would divide by zero.
         cfg = SolverConfig(beta=400.0, lam=2.0, z=10.0)
