@@ -47,6 +47,7 @@ from .oracle import exact_ot
 from .potentials import squared_euclidean
 from .solver import (
     SolverConfig,
+    _count,
     iteration_budget,
     nasa_solve,
     robust_solve,
@@ -105,14 +106,14 @@ def sample_spec(spec: str, seed: int) -> np.ndarray:
     All components must share one dimension.  Every number must be finite,
     as must the box width HI - LO and every point drawn; otherwise
     :class:`FormatError`.  The components draw in order from one
-    ``default_rng(seed)``: ``mean + S * standard_normal((N, D))`` and
-    ``uniform(LO, HI, (N, D))``.
+    ``default_rng(seed)``, ``seed`` an integer >= 0 (else :class:`DomainError`):
+    ``mean + S * standard_normal((N, D))`` and ``uniform(LO, HI, (N, D))``.
     """
     components = [_parse_dist_component(c) for c in spec.split("+")]
     dims = {dim for dim, _ in components}
     if len(dims) != 1:
         raise FormatError(f"spec components disagree on dimension: {sorted(dims)}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     with np.errstate(over="ignore"):  # a point beyond the floats raises below
         points = np.vstack([draw(rng) for _, draw in components])
     if not np.all(np.isfinite(points)):

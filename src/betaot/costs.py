@@ -23,8 +23,8 @@ importing this module does not load it.  :func:`sq_euclidean_cost` is
 the class's dense matrix; :func:`estimate_z` takes minima block by block.
 """
 
+import bisect
 import copy
-import itertools
 import math
 
 import numpy as np
@@ -33,6 +33,7 @@ from .errors import (
     AutoScaleError,
     BudgetExhaustedError,
     DimensionMismatchError,
+    DomainError,
     InfeasibleToleranceError,
 )
 from .solver import _BLOCK_ROWS, SolverConfig, iteration_budget
@@ -81,7 +82,8 @@ class SqEuclideanCost:
     Every block keeps the cost rule: once ``d * (max|x| + max|y|)^2``
     times the scales reaches :data:`_FINITE_BOUND`, each nonempty block
     goes through ``solver._validate_cost`` and an overflow raises its
-    ``ValueError``.  Below that bound no entry can overflow.  An empty
+    ``ValueError``, which names the scaled cost if the unscaled block is
+    finite.  Below that bound no entry can overflow.  An empty
     row slice gives the empty block on either side of the bound.
     """
 
@@ -110,12 +112,15 @@ class SqEuclideanCost:
         from scipy.spatial.distance import cdist
 
         block = cdist(self.x[rows], self.y, metric="sqeuclidean")
+        checked = self._bound >= _FINITE_BOUND and block.size
+        if checked and self._scales:
+            _validate_cost(block)  # an overflow of the points' own distances names the cost
         with np.errstate(over="ignore"):  # overflows reach the bound and raise below
             for scale in self._scales:
                 np.multiply(block, scale, out=block)
-        if self._bound < _FINITE_BOUND or not block.size:
-            return block
-        return _validate_cost(block)
+        if checked:
+            _validate_cost(block, "scaled cost" if self._scales else "cost")
+        return block
 
     def dense(self) -> np.ndarray:
         """The m x n cost matrix."""
@@ -151,7 +156,8 @@ def estimate_z(clean, percentile: float, seed: int) -> float:
     returns the nearest-rank percentile of those minima.  The distances
     are evaluated ``_BLOCK_ROWS`` rows at a time, never as one matrix.
 
-    Deterministic for a fixed seed and nondecreasing in the percentile.
+    Deterministic for a fixed seed, a nonnegative integer (else
+    :class:`DomainError`), and nondecreasing in the percentile.
     A distance that overflows raises ``ValueError``, as in :class:`SqEuclideanCost`.
     """
     pts = _as_points(clean)
@@ -160,7 +166,7 @@ def estimate_z(clean, percentile: float, seed: int) -> float:
         raise ValueError(f"need at least 4 clean points, got {k}")
     if not 0.0 < percentile <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-    perm = np.random.default_rng(seed).permutation(k)
+    perm = np.random.default_rng(_count("seed", seed, 0)).permutation(k)
     half = k // 2
     # A block at a time: a minimum does not depend on the order of its terms.
     cost = SqEuclideanCost(pts[perm[:half]], pts[perm[half:]])
@@ -175,13 +181,16 @@ def auto_scale(cost, z: float, cfg: SolverConfig, target_range: tuple[int, int])
     ((beta - 1) z)`` with ``D = (1/m)^(beta-1) + (1/n)^(beta-1)`` and
     ``T*`` the midpoint of ``target_range`` (a tiny nudge keeps the
     re-evaluated bound strictly above the integer target).  The resulting
-    budget is re-checked before returning; if the midpoint misses, every
-    integer target in the range is tried.
+    budget is re-checked before returning; if the midpoint misses, the
+    least integer target whose budget lands is taken.  The budget never
+    falls as the target rises (an overflow counts as above the range, an
+    infeasible or exhausted budget as below it), so a bisection finds that
+    target in O(log(hi - lo)) budget evaluations.
 
     Returns ``(scale, scaled_cost, scaled_z)``.  When the unscaled budget
     is already inside the range, returns scale 1 and the inputs unchanged.
-    A :class:`SqEuclideanCost` comes back rescaled and still unevaluated,
-    and a dense cost with inf where the scale overflows an entry.
+    A :class:`SqEuclideanCost` comes back rescaled and still unevaluated;
+    a dense cost whose scaled entries overflow raises ``ValueError``.
     An empty, non-2-D or non-finite dense cost raises :class:`DimensionMismatchError`
     or ``ValueError``, and range ends that are not counts :class:`DomainError`.
     """
@@ -202,21 +211,27 @@ def auto_scale(cost, z: float, cfg: SolverConfig, target_range: tuple[int, int])
 
     beta, lam = cfg.beta, cfg.lam
     decrement_sum = _decrement_sum(beta, m, n)
-    midpoint = (lo + hi) / 2.0
-    for t_star in itertools.chain([midpoint], range(lo, hi + 1)):
+
+    def landing(t_star):
+        """The scale for ``t_star``, and -1, 0 or 1 as its budget is below, in or above range."""
         s = lam * ((t_star + _TARGET_NUDGE) * decrement_sum + 1.0) / ((beta - 1.0) * z)
-        if not (s > 0.0 and math.isfinite(s)):
-            continue
         try:
             budget = iteration_budget(s * z, cfg, m, n).budget
         except (InfeasibleToleranceError, BudgetExhaustedError):
-            continue
-        if lo <= budget <= hi:
-            # An entry scaled beyond the floats is inf, which the solver
-            # rejects as it does a lazy cost's.
-            with np.errstate(over="ignore"):
-                return s, gamma.scaled(s) if lazy else s * gamma, s * z
-    raise AutoScaleError(
-        f"no scale places the iteration budget inside [{lo}, {hi}] "
-        f"for beta={beta}, lam={lam}, z={z}, shape=({m}, {n})"
-    )
+            return s, -1
+        except DomainError:  # s, s * z or the bound overflows
+            return s, 1
+        return s, (budget > hi) - (budget < lo)
+
+    s, side = landing((lo + hi) / 2.0)
+    if side:  # the least target whose budget is not below the range
+        first = bisect.bisect_left(range(lo, hi + 1), True, key=lambda t: landing(t)[1] >= 0)
+        if first <= hi - lo:
+            s, side = landing(lo + first)
+    if side:
+        raise AutoScaleError(
+            f"no scale places the iteration budget inside [{lo}, {hi}] "
+            f"for beta={beta}, lam={lam}, z={z}, shape=({m}, {n})"
+        )
+    with np.errstate(over="ignore"):  # an entry scaled beyond the floats raises below
+        return s, gamma.scaled(s) if lazy else _validate_cost(s * gamma, "scaled cost"), s * z

@@ -7,6 +7,9 @@ generator ``phi``, its derivative ``phi_prime``, the derivative and
 second derivative of the Fenchel conjugate (``psi_prime``, ``psi_second``),
 and the pointwise Bregman divergence.
 
+A :class:`Potential` is its kind and ``beta``, from which its bounds are
+derived; :func:`_primal` holds the primal domain of every kind.
+
 The beta potential is the interesting case: its conjugate is only defined
 on the half line ``(1/(1-beta), inf)``.  Evaluation AT the lower boundary
 is extended continuously with ``psi_prime = 0`` and, by convention,
@@ -35,57 +38,58 @@ SQ_EUCLIDEAN = "sq_euclidean"
 
 @dataclass(frozen=True)
 class Potential:
-    """A regularizer generator bundle.
+    """A regularizer generator: ``kind`` and, for the beta kind alone, a finite ``beta > 1``.
 
-    Attributes
-    ----------
-    kind : str
-        One of ``"beta"``, ``"shannon"``, ``"sq_euclidean"``.
-    beta : float or None
-        The exponent for the beta kind; None otherwise.
-    domain_lower_dual : float
-        Infimum of the conjugate domain: ``1/(1-beta)`` for the beta kind,
-        ``-inf`` for the two cofinite kinds.
-    clamp_bound : float
-        ``phi_prime(0)``, the dual image of primal zero.  Element-wise
-        maximum with this value is the dual form of projecting a plan onto
-        the nonnegative orthant.  Coincides with ``domain_lower_dual`` for
-        the beta kind; equals ``-1`` for squared Euclidean and ``-inf``
-        for Shannon.
+    ``kind`` is ``"beta"``, ``"shannon"`` or ``"sq_euclidean"``; anything
+    else raises :class:`DomainError`.  The bounds are derived from the two
+    fields, so none can disagree with ``beta``.
     """
 
     kind: str
     beta: float | None = None
-    domain_lower_dual: float = -math.inf
-    clamp_bound: float = -math.inf
+
+    def __post_init__(self):
+        if self.kind not in (BETA, SHANNON, SQ_EUCLIDEAN):
+            raise DomainError(f"unknown generator kind {self.kind!r}")
+        if (self.beta is None) != self.is_cofinite:
+            raise DomainError(f"the beta kind alone has a beta: got {self.kind}, {self.beta!r}")
+        if self.beta is not None:
+            object.__setattr__(self, "beta", float(self.beta))
+            if not 1.0 < self.beta < math.inf:
+                raise DomainError(f"beta potential requires a finite beta > 1, got {self.beta}")
 
     @property
     def is_cofinite(self) -> bool:
         """True when the conjugate domain is the whole real line."""
         return self.kind != BETA
 
+    @property
+    def domain_lower_dual(self) -> float:
+        """Infimum of the conjugate domain: ``1/(1-beta)``, or ``-inf`` for a cofinite kind."""
+        return -math.inf if self.is_cofinite else 1.0 / (1.0 - self.beta)
+
+    @property
+    def clamp_bound(self) -> float:
+        """``phi_prime(0)``: ``domain_lower_dual``, but -1 for squared Euclidean.
+
+        A maximum with it projects a dual onto the nonnegative plans.
+        """
+        return -1.0 if self.kind == SQ_EUCLIDEAN else self.domain_lower_dual
+
 
 def beta_potential(beta: float) -> Potential:
-    """Build the beta power potential ``(p^beta - beta*p + beta - 1) / (beta*(beta-1))``.
-
-    Requires a finite ``beta > 1``; the conjugate domain is then
-    ``(1/(1-beta), inf)``.
-    """
-    beta = float(beta)
-    if not 1.0 < beta < math.inf:
-        raise DomainError(f"beta potential requires a finite beta > 1, got {beta}")
-    bound = 1.0 / (1.0 - beta)
-    return Potential(kind=BETA, beta=beta, domain_lower_dual=bound, clamp_bound=bound)
+    """The beta power potential ``(p^beta - beta*p + beta - 1) / (beta*(beta-1))``."""
+    return Potential(BETA, beta)
 
 
 def shannon() -> Potential:
-    """Build the Boltzmann-Shannon entropy generator ``p*log(p) - p + 1``."""
-    return Potential(kind=SHANNON)
+    """The Boltzmann-Shannon entropy generator ``p*log(p) - p + 1``."""
+    return Potential(SHANNON)
 
 
 def squared_euclidean() -> Potential:
-    """Build the squared Euclidean generator ``(p - 1)^2 / 2``."""
-    return Potential(kind=SQ_EUCLIDEAN, clamp_bound=-1.0)
+    """The squared Euclidean generator ``(p - 1)^2 / 2``."""
+    return Potential(SQ_EUCLIDEAN)
 
 
 def _scalar_or_array(out, template):
@@ -94,21 +98,25 @@ def _scalar_or_array(out, template):
     return out
 
 
+def _primal(p, pot: Potential, name: str = "p"):
+    """``p`` as a float array in the primal domain: ``p >= 0`` unless squared Euclidean."""
+    p_arr = np.asarray(p, dtype=float)
+    if pot.kind != SQ_EUCLIDEAN and np.any(p_arr < 0.0):
+        raise DomainError(f"{pot.kind} generator requires {name} >= 0")
+    return p_arr
+
+
 def phi(p, pot: Potential):
     """Evaluate the generator.
 
     ``phi(1) = 0`` for every kind.  Beta and Shannon require ``p >= 0``;
     squared Euclidean accepts any real.
     """
-    p_arr = np.asarray(p, dtype=float)
+    p_arr = _primal(p, pot)
     if pot.kind == BETA:
-        if np.any(p_arr < 0.0):
-            raise DomainError("beta generator requires p >= 0")
         b = pot.beta
         out = (p_arr**b - b * p_arr + b - 1.0) / (b * (b - 1.0))
     elif pot.kind == SHANNON:
-        if np.any(p_arr < 0.0):
-            raise DomainError("Shannon generator requires p >= 0")
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(p_arr > 0.0, p_arr * np.log(p_arr) - p_arr + 1.0, 1.0)
     else:
@@ -122,15 +130,11 @@ def phi_prime(p, pot: Potential):
     Strictly increasing with ``phi_prime(1) = 0``.  For Shannon,
     ``phi_prime(0)`` is the documented ``-inf`` sentinel, not an error.
     """
-    p_arr = np.asarray(p, dtype=float)
+    p_arr = _primal(p, pot)
     if pot.kind == BETA:
-        if np.any(p_arr < 0.0):
-            raise DomainError("beta generator requires p >= 0")
         bm1 = pot.beta - 1.0
         out = (p_arr**bm1 - 1.0) / bm1
     elif pot.kind == SHANNON:
-        if np.any(p_arr < 0.0):
-            raise DomainError("Shannon generator requires p >= 0")
         with np.errstate(divide="ignore"):
             out = np.log(p_arr)
     else:
@@ -241,21 +245,20 @@ def bregman_div(p, q, pot: Potential):
     - squared Euclidean: ``(p - q)^2 / 2``
 
     Nonnegative, zero exactly when the arguments coincide (up to
-    floating-point cancellation of order 1e-16).
+    floating-point cancellation of order 1e-16).  The generic form
+    ``phi(p) - phi(q) - (p - q) phi'(q)`` cancels near zero: at ``p = 0``,
+    ``q = 1e-300`` it gives ``-6.9e-298`` for Shannon (true ``1e-300``)
+    and ``-5e-300`` for beta = 1.2.
     """
-    p_arr = np.asarray(p, dtype=float)
-    q_arr = np.asarray(q, dtype=float)
+    p_arr = _primal(p, pot)
+    q_arr = _primal(q, pot, "q")
     if pot.kind == BETA:
-        if np.any(p_arr < 0.0) or np.any(q_arr < 0.0):
-            raise DomainError("beta divergence requires p, q >= 0")
         b = pot.beta
         out = (p_arr**b + (b - 1.0) * q_arr**b - b * p_arr * q_arr ** (b - 1.0)) / (
             b * (b - 1.0)
         )
     elif pot.kind == SHANNON:
-        if np.any(p_arr < 0.0):
-            raise DomainError("KL divergence requires p >= 0")
-        if np.any(q_arr <= 0.0):
+        if np.any(q_arr == 0.0):
             raise DomainError("KL divergence requires q > 0")
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.where(p_arr > 0.0, p_arr * np.log(p_arr / q_arr), 0.0)

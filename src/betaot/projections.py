@@ -22,7 +22,7 @@ Operations read their inputs and return fresh arrays.
 import numpy as np
 
 from .potentials import Potential, phi_prime, psi_pair
-from .solver import _quotient
+from .solver import _line_sums, _quotient
 
 
 def clamp_dual(theta_tilde, pot: Potential):
@@ -43,8 +43,7 @@ def _newton_decrement(theta_star, pot, axis, size):
     theta_star = np.asarray(theta_star, dtype=float)
     ps, pss = psi_pair(theta_star, pot)
     lower = _truncation_bound(theta_star, pot, axis, size)
-    # Sequential line sums, as in the solver's loops.
-    ps_sum, pss_sum = (np.cumsum(x, axis=axis).take(-1, axis=axis) for x in (ps, pss))
+    ps_sum, pss_sum = _line_sums(ps, axis), _line_sums(pss, axis)
     return _quotient(ps_sum, pss_sum, size, lower)
 
 

@@ -36,10 +36,10 @@ builds the dense ``pi`` only when it is read; :func:`transport_value`,
 :func:`marginal_residuals` and ``detect.detect_outliers`` work from the
 entries.  Those check a caller's arrays, while a solve runs their
 unchecked cores on the arrays it made.  Every diagnostic a solver
-reports adds each row's and each column's entries one after another in
-row-major order (a value is the numpy sum of the row sums of plan x
-cost), so exact zeros change nothing and a dense plan and its entries
-give the same floats.  Solves mutate only the dual buffers they
+reports sums each row and column one entry after another in row-major
+order by :func:`_line_sums` (a value is numpy's sum of the row sums of
+plan x cost), so exact zeros change nothing and a dense plan and its
+entries give the same floats.  Solves mutate only the dual buffers they
 allocate, never their inputs; concurrent solves share nothing, and the
 dense loop's helper thread touches only its own solve's buffers.
 """
@@ -153,14 +153,14 @@ def _check_lambda(lam: float) -> None:
         raise DomainError(f"lambda must be finite and positive, got {lam}")
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int: an ``Integral`` that is not a bool and is at least 1.
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int: an ``Integral`` that is not a bool and is at least ``least``.
 
     Anything else raises :class:`DomainError`; ``int()`` would truncate
     2.5 to 2 and take True for 1.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise DomainError(f"{name} must be >= 1 and an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"{name} must be >= {least} and an integer, got {value!r}")
     return int(value)
 
 
@@ -436,7 +436,7 @@ def robust_solve(cost, cfg: SolverConfig) -> TransportPlan:
             pi, costs = _dense_plan(gamma, pot, cfg.lam, iterations, caps)
         else:
             pi, costs = _candidate_plan((m, n), *found, pot, cfg.lam, iterations, caps)
-    return TransportPlan(pi, _entries_value(pi, costs), iterations)
+    return TransportPlan(pi, _value(pi, costs), iterations)
 
 
 # A dense loop of at least this many entries runs on two blocks (see _dense_plan).
@@ -591,7 +591,8 @@ def _half_step(theta_hat, values, lines, pot, cap, size):
     columns, counted from the first of ``theta_hat``, which holds the
     line maxima of the clamped dual; ``size`` is the marginal's count.
     Each line's ``psi'`` and ``psi''`` are summed with ``bincount``, one
-    entry after another.
+    entry after another: the rule of :func:`_line_sums`, applied to the
+    line ids that the loops pass in.
     """
     ps, pss = _psi_pair_inplace(values, pot)
     ps_sum = np.bincount(lines, weights=ps, minlength=theta_hat.size)
@@ -669,7 +670,7 @@ def sinkhorn_solve(
                 break
     kernel *= u[:, None]
     kernel *= v[None, :]
-    return TransportPlan(kernel, _dense_value(kernel, gamma), iterations, tol)
+    return TransportPlan(kernel, _value(kernel, gamma), iterations, tol)
 
 
 def _restart(gamma, f, g, lam, kernel):
@@ -726,7 +727,7 @@ def nasa_solve(
         if _stop_residual(np.maximum(a, 0.0), m, n) <= tol:
             break
     pi = np.maximum(a, 0.0, out=a)
-    return TransportPlan(pi, _dense_value(pi, gamma), iterations, tol)
+    return TransportPlan(pi, _value(pi, gamma), iterations, tol)
 
 
 def _line_shift(a, total):
@@ -763,43 +764,28 @@ def transport_value(plan, cost) -> float:
     """Frobenius inner product of a plan with the cost matrix.
 
     The numpy sum of the row sums of plan x cost, each added entry after
-    entry (see :func:`marginal_residuals`), with no m x n temporary.
+    entry (:func:`_line_sums`), with no m x n temporary.
     An empty, non-2-D or non-finite array raises :class:`DimensionMismatchError` or ``ValueError``.
     """
     pi = _plan_data(plan)
     gamma = _validate_cost(cost)
     if pi.shape != gamma.shape:
         raise DimensionMismatchError(f"plan shape {pi.shape} != cost shape {gamma.shape}")
-    if isinstance(pi, PlanEntries):
-        return _entries_value(pi, gamma[np.divmod(pi.index, pi.shape[1])])
-    return _dense_value(pi, gamma)
+    # take flattens in C order: the costs at a plan's entries.
+    return _value(pi, np.take(gamma, pi.index) if isinstance(pi, PlanEntries) else gamma)
 
 
-def _dense_value(pi, gamma) -> float:
-    """:func:`transport_value` of a dense plan, unchecked."""
-    return float(np.sum(_line_sums(pi, gamma)))
-
-
-def _entries_value(entries: PlanEntries, costs) -> float:
-    """:func:`transport_value` of a plan's entries from the costs at them."""
-    m, n = entries.shape
-    return float(np.sum(np.bincount(entries.index // n, weights=entries.values * costs,
-                                    minlength=m)))
+def _value(pi, costs) -> float:
+    """:func:`transport_value` of a plan from the costs at its entries or the m x n cost."""
+    return float(np.sum(_line_sums(pi, 1, costs)))
 
 
 def marginal_residuals(plan, m: int, n: int) -> tuple[float, float]:
-    """L1 distances of the plan's row/column sums from 1/m and 1/n.
+    """L1 distances of the plan's row/column sums (:func:`_line_sums`) from 1/m and 1/n.
 
-    Each row and each column adds its entries one after another in
-    row-major order: ``bincount`` over a plan's entries, a
-    ``cumsum`` over a few rows of a dense plan (or of its transpose) at
-    a time.  A C-ordered dense plan with two or more columns takes its
-    column sums from ``sum(axis=0)``, which adds row after row, at
-    about a tenth of the cost.  The forms give the same residuals,
-    whatever the shape or memory order (``TestSummationRule`` pins
-    numpy's order at every release the package supports).  Raises
-    :class:`DimensionMismatchError` for an empty or non-2-D plan array or
-    unless ``(m, n)`` is its shape, ``ValueError`` for a non-finite one.
+    Raises :class:`DimensionMismatchError` for an empty or non-2-D plan
+    array or unless ``(m, n)`` is its shape, ``ValueError`` for a
+    non-finite one.
     """
     pi = _plan_data(plan)
     if pi.shape != (m, n):
@@ -809,31 +795,38 @@ def marginal_residuals(plan, m: int, n: int) -> tuple[float, float]:
 
 def _residuals(pi) -> tuple[float, float]:
     """:func:`marginal_residuals` of a plan's entries or dense array, unchecked."""
-    m, n = pi.shape
-    if isinstance(pi, PlanEntries):
-        rows, cols = np.divmod(pi.index, n)
-        row_sums = np.bincount(rows, weights=pi.values, minlength=m)
-        col_sums = np.bincount(cols, weights=pi.values, minlength=n)
-    else:
-        row_sums = _line_sums(pi)
-        # numpy adds a C-ordered plan's rows one after another into its
-        # column sums; an m x 1 plan it sums pairwise.
-        col_sums = pi.sum(axis=0) if n > 1 and pi.flags.c_contiguous else _line_sums(pi.T)
-    return float(np.abs(row_sums - 1.0 / m).sum()), float(np.abs(col_sums - 1.0 / n).sum())
+    return tuple(float(np.abs(_line_sums(pi, axis) - 1.0 / size).sum())
+                 for axis, size in zip((1, 0), pi.shape))
 
 
 # Entries a dense diagnostic takes at once: its one buffer holds 2**16 floats.
 _SUM_BLOCK = 1 << 16
 
 
-def _line_sums(a, weights=None):
-    """The rows of ``a`` (times ``weights``), each summed entry after entry."""
-    m, n = a.shape
+def _line_sums(pi, axis, weights=None):
+    """The row (``axis`` 1) or column (``axis`` 0) sums of ``pi`` times ``weights``.
+
+    Each line adds its entries one after another in row-major order, the
+    same floats from :class:`PlanEntries` (``weights`` per entry) by
+    ``bincount`` as from their dense array (``weights`` of its shape) by
+    ``cumsum`` over a few rows at a time or, for the unweighted columns
+    of a C-ordered array with n > 1, by ``sum(axis=0)`` at a tenth of the
+    cost (``TestSummationRule`` pins numpy's order; m x 1 it sums pairwise).
+    """
+    m, n = pi.shape
+    if isinstance(pi, PlanEntries):
+        values = pi.values if weights is None else pi.values * weights
+        lines = pi.index // n if axis else pi.index % n
+        return np.bincount(lines, weights=values, minlength=pi.shape[1 - axis])
+    if not axis:
+        if weights is None and n > 1 and pi.flags.c_contiguous:
+            return pi.sum(axis=0)
+        return _line_sums(pi.T, 1, None if weights is None else weights.T)
     rows = max(1, _SUM_BLOCK // n)
     sums, buf = np.empty(m), np.empty((min(rows, m), n))
     for start in range(0, m, rows):
         stop = min(start + rows, m)
-        block, out = a[start:stop], buf[:stop - start]
+        block, out = pi[start:stop], buf[:stop - start]
         if weights is not None:
             block = np.multiply(block, weights[start:stop], out=out)
         sums[start:stop] = np.cumsum(block, axis=1, out=out)[:, -1]

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from betaot import (
+    DomainError,
     SolverConfig,
     TransportPlan,
     auto_scale,
@@ -146,6 +147,25 @@ class TestGen:
             np.array([0.5, 0.0]) + 1.0 * rng.standard_normal((2, 2)),
         ])
         assert sample_spec(spec, 29).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, True, 2.0, None])
+    def test_seeds_that_are_not_nonnegative_integers_are_rejected(self, seed):
+        with pytest.raises(DomainError, match=f"^seed must be >= 0 and an integer, got {seed!r}$"):
+            sample_spec("gaussian:mean=0:count=3", seed)
+
+    @pytest.mark.parametrize("command", ["gen", "detect"])
+    def test_negative_seed_exits_two_naming_it(self, tmp_path, capsys, command):
+        # numpy's own message named neither the option nor the value.
+        out = tmp_path / "out.csv"
+        if command == "gen":
+            argv = ["gen", "--spec", "gaussian:mean=0:count=3", "--out", out]
+        else:
+            clean = tmp_path / "clean.csv"
+            write_point_cloud(clean, np.arange(12.0).reshape(6, 2))
+            argv = ["detect", "--clean", clean, "--dirty", clean, "--out", out]
+        assert run_cli(*argv, "--seed", -1) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0 and an integer, got -1\n"
+        assert not out.exists()
 
     def test_spec_too_large_for_memory_exits_two_without_output(self, tmp_path, capsys):
         # 728 TiB exceeds the user address space, so the allocation fails at once.
@@ -374,12 +394,13 @@ class TestSolve:
 
     def test_cost_rescaled_beyond_the_floats_exits_two(self, tmp_path, capsys):
         # --auto-scale multiplies this cost by about 9.6; a numpy overflow
-        # warning escaped before the solver rejected the inf entry.
+        # warning escaped before the solver rejected the inf entry.  The
+        # file is finite, so the error names the scaled cost.
         cost, plan_path = tmp_path / "c.csv", tmp_path / "p.csv"
         cost.write_text("1e308,0\n0,1\n")
         assert run_cli("solve", "--cost", cost, "--z", 20, "--auto-scale",
                        "--out", plan_path) == 2
-        assert capsys.readouterr().err == "error: cost matrix must be finite (no NaN/Inf)\n"
+        assert capsys.readouterr().err == "error: scaled cost matrix must be finite (no NaN/Inf)\n"
         assert not plan_path.exists()
 
     def test_sinkhorn_closed_form_value_in_report(self, tmp_path):
@@ -604,6 +625,20 @@ class TestUnfinishableBudget:
         assert error.startswith("error: iteration budget ") and hint == self.HINT
         assert not out.exists()
 
+    def test_unreachable_auto_scale_range_exits_three_within_a_second(self, tmp_path, capsys):
+        # Every scale overflows at z=1e-320; auto_scale once tried all 10**9 targets.
+        cost, out = tmp_path / "c.csv", tmp_path / "plan.csv"
+        cost.write_text("0,1\n1,0\n")
+        start = time.perf_counter()
+        with _deadline(5.0):
+            code = run_cli("solve", "--z", "1e-320", "--auto-scale", "--target-T",
+                           "1..1000000000", "--cost", cost, "--out", out)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        (error,) = capsys.readouterr().err.splitlines()
+        assert error.startswith("error: no scale places the iteration budget inside ")
+        assert not out.exists()
+
     def test_auto_scale_still_rescales_into_the_target_range(self, tmp_path):
         cost, out = tmp_path / "c.csv", tmp_path / "plan.csv"
         cost.write_text("0,1\n1,0\n")
@@ -711,6 +746,17 @@ class TestDetect:
         assert run_cli("detect", "--clean", clean_path, "--dirty", dirty_path,
                        "--auto-scale") == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_cost_rescaled_beyond_the_floats_names_the_scaled_cost(self, tmp_path, capsys):
+        # Every distance is finite, at most 1e308; --auto-scale multiplies them by about 9.
+        clean_path, dirty_path = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+        write_point_cloud(clean_path, [[0.0], [1.0], [2.0], [3.0]])
+        write_point_cloud(dirty_path, [[0.5], [1e154]])
+        assert np.isfinite(sq_euclidean_cost(read_point_cloud(clean_path),
+                                             read_point_cloud(dirty_path))).all()
+        assert run_cli("detect", "--clean", clean_path, "--dirty", dirty_path, "--z", 20,
+                       "--auto-scale") == 2
+        assert capsys.readouterr().err == "error: scaled cost matrix must be finite (no NaN/Inf)\n"
 
     def test_single_dirty_point_matches_the_dense_pipeline(self, tmp_path):
         rng = np.random.default_rng(22)

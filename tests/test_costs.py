@@ -1,11 +1,15 @@
 """Cost construction, threshold heuristics, and budget-targeted rescaling."""
 
+import itertools
+import math
+import re
+import signal
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -25,9 +29,37 @@ from betaot import (
     robust_solve,
     sq_euclidean_cost,
 )
+from betaot.solver import _decrement_sum
 
 
 _NOT_FINITE = r"^cost matrix must be finite \(no NaN/Inf\)$"
+_SCALED_NOT_FINITE = "^scaled " + _NOT_FINITE[1:]
+
+
+def _walked_scale(shape, z, cfg, target_range):
+    """``(scale, scaled z)`` by the linear walk that auto_scale took before its bisection.
+
+    The midpoint target first, then every integer target in the range,
+    until one lands; None when none does.  The reference for the bisection.
+    """
+    (m, n), (lo, hi) = shape, target_range
+    try:
+        if lo <= iteration_budget(z, cfg, m, n).budget <= hi:
+            return 1.0, z
+    except (InfeasibleToleranceError, BudgetExhaustedError):
+        pass
+    d = _decrement_sum(cfg.beta, m, n)
+    for t_star in itertools.chain([(lo + hi) / 2.0], range(lo, hi + 1)):
+        s = cfg.lam * ((t_star + costs._TARGET_NUDGE) * d + 1.0) / ((cfg.beta - 1.0) * z)
+        if not (s > 0.0 and math.isfinite(s)):
+            continue
+        try:
+            budget = iteration_budget(s * z, cfg, m, n).budget
+        except (InfeasibleToleranceError, BudgetExhaustedError):
+            continue
+        if lo <= budget <= hi:
+            return s, s * z
+    return None
 
 
 @st.composite
@@ -106,7 +138,7 @@ class TestLazySqEuclideanCost:
                          lambda: robust_solve(cost, SolverConfig(iterations=2))):
                 with pytest.raises(ValueError, match=_NOT_FINITE):
                     read()
-        with pytest.raises(ValueError, match=_NOT_FINITE):
+        with pytest.raises(ValueError, match=_SCALED_NOT_FINITE):
             SqEuclideanCost(x, x).scaled(1e308).dense()
 
     def test_a_single_overflowing_distance_raises(self):
@@ -124,11 +156,12 @@ class TestLazySqEuclideanCost:
     @given(overflow_instances())
     def test_every_block_keeps_the_cost_rule(self, instance):
         # A block has the bits of the same rows of the scaled cdist, or
-        # raises exactly when those rows hold an overflow; robust_solve
+        # raises exactly when those rows hold an overflow, naming the
+        # scaled cost when the unscaled rows are finite; robust_solve
         # gives the dense form's plan or its error.
         x, y, scales, (a, b) = instance
         cost = SqEuclideanCost(x, y)
-        dense = cdist(x, y, "sqeuclidean")
+        dense = points = cdist(x, y, "sqeuclidean")
         with np.errstate(over="ignore"):
             for scale in scales:
                 cost = cost.scaled(scale)
@@ -139,7 +172,8 @@ class TestLazySqEuclideanCost:
         if finite:
             assert cost[a:b].tobytes() == dense[a:b].tobytes()
         else:
-            with pytest.raises(ValueError, match=_NOT_FINITE):
+            scaled = cost._scales and np.isfinite(points[a:b]).all()
+            with pytest.raises(ValueError, match=_SCALED_NOT_FINITE if scaled else _NOT_FINITE):
                 cost[a:b]
         cfg = SolverConfig(beta=1.2, lam=2.0, iterations=2)
         if np.isfinite(dense).all():
@@ -147,8 +181,17 @@ class TestLazySqEuclideanCost:
             assert plan.pi.tobytes() == expected.pi.tobytes()
             assert plan.value == expected.value
         else:
-            for solved in (cost, dense):
-                with pytest.raises(ValueError, match=_NOT_FINITE):
+            # The first block with an overflow names the lazy cost; only
+            # when the points' own distances overflow in some rows and the
+            # scales' in others may either noun come first.
+            if not cost._scales:
+                lazy = _NOT_FINITE
+            elif np.isfinite(points).all():
+                lazy = _SCALED_NOT_FINITE
+            else:
+                lazy = "^(scaled )?cost matrix must be finite"
+            for solved, message in ((cost, lazy), (dense, _NOT_FINITE)):
+                with pytest.raises(ValueError, match=message):
                     robust_solve(solved, cfg)
 
     def test_auto_scale_returns_it_unevaluated_with_the_dense_scale(self):
@@ -243,6 +286,11 @@ class TestEstimateZ:
             with pytest.raises(ValueError, match=_NOT_FINITE):
                 estimate_z(pts, 99.0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "3"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(DomainError, match=f"^seed must be >= 0 and an integer, got {seed!r}$"):
+            estimate_z(np.zeros((5, 2)), 99.0, seed)
+
     def test_preconditions(self):
         pts = np.zeros((3, 2))
         with pytest.raises(ValueError):
@@ -312,6 +360,60 @@ class TestAutoScale:
             gamma = np.zeros((m, n))
             scale, _, scaled_z = auto_scale(gamma, z, cfg, (1, 19))
             assert 1 <= iteration_budget(scaled_z, cfg, m, n).budget <= 19
+            expected = _walked_scale((m, n), z, cfg, (1, 19))
+            assert np.array([scale, scaled_z]).tobytes() == np.array(expected).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_beta=st.floats(math.log(1.01), math.log(300.0)), lam_exp=st.floats(-3.0, 3.0),
+           shape=st.tuples(st.integers(1, 20000), st.integers(1, 20000)),
+           z_exp=st.floats(-320.0, 308.0), lo=st.integers(1, 2000), width=st.integers(0, 2000))
+    @example(log_beta=math.log(10.944259780010853), lam_exp=math.log10(0.14601351894205808),
+             shape=(44, 16539), z_exp=math.log10(4.585079118647165e-215), lo=105, width=2)
+    def test_bisection_lands_where_the_linear_walk_did(self, log_beta, lam_exp, shape, z_exp,
+                                                       lo, width):
+        # The example is a midpoint miss that only a target other than the
+        # midpoint rescues, at scale 3.2e212 with budget 107.
+        cfg = SolverConfig(beta=math.exp(log_beta), lam=10.0 ** lam_exp)
+        z, target = 10.0 ** z_exp, (lo, lo + width)
+        # Zero-width clouds: auto_scale never evaluates the cost.
+        cost = SqEuclideanCost(np.zeros((shape[0], 1)), np.zeros((shape[1], 1)))
+        try:
+            expected = _walked_scale(shape, z, cfg, target)
+        except DomainError as exc:
+            # Before any target (the bound or its denominator): no scale
+            # here brings s * z near the largest float.
+            with pytest.raises(DomainError, match=re.escape(str(exc))):
+                auto_scale(cost, z, cfg, target)
+            return
+        if expected is None:
+            with pytest.raises(AutoScaleError):
+                auto_scale(cost, z, cfg, target)
+            return
+        scale, _, scaled_z = auto_scale(cost, z, cfg, target)
+        event("unit scale" if scale == 1.0 else "rescaled")
+        assert np.array([scale, scaled_z]).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("cost, z, beta", [
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), 1e-320, 1.2),  # every scale overflows
+        (np.zeros((4, 4)), 5.0, 200.0),  # (t D + 1) rounds to 1: every target is infeasible
+    ], ids=["overflow", "infeasible"])
+    def test_unreachable_wide_range_fails_within_a_second(self, cost, z, beta):
+        # The linear walk tried all 10**9 targets.
+        def ring(signum, frame):
+            raise TimeoutError("auto_scale ran for more than 1 s")
+
+        previous = signal.signal(signal.SIGALRM, ring)
+        signal.alarm(1)
+        try:
+            with pytest.raises(AutoScaleError):
+                auto_scale(cost, z, SolverConfig(beta=beta), (1, 10**9))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_scaled_dense_cost_beyond_the_floats_names_the_scaled_cost(self):
+        with pytest.raises(ValueError, match=_SCALED_NOT_FINITE):
+            auto_scale(np.array([[1e308, 0.0], [0.0, 1.0]]), 20.0, SolverConfig(), (1, 20))
 
     def test_beta_outside_domain_is_not_an_auto_scale_failure(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 """Generator calculus: closed forms, conjugate duality, divergences."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from betaot import (
     DomainError,
+    Potential,
     beta_potential,
     bregman_div,
     phi,
@@ -40,6 +42,39 @@ class TestConstruction:
         assert shannon().domain_lower_dual == -math.inf
         assert squared_euclidean().domain_lower_dual == -math.inf
         assert squared_euclidean().clamp_bound == -1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(beta=st.one_of(st.floats(1.0, 300.0, exclude_min=True), st.integers(2, 300),
+                          st.sampled_from([np.float64(1.5), np.float32(2.5), "1.2"])))
+    def test_bounds_are_derived_from_beta(self, beta):
+        pot = Potential("beta", beta)
+        assert pot == beta_potential(beta)
+        assert dataclasses.astuple(pot) == ("beta", float(beta))
+        bound = np.float64(1.0 / (1.0 - float(beta))).tobytes()
+        for value in (pot.domain_lower_dual, pot.clamp_bound, phi_prime(0.0, pot)):
+            assert np.float64(value).tobytes() == bound
+        assert not pot.is_cofinite
+
+    def test_two_fields_and_no_settable_bound(self):
+        assert [f.name for f in dataclasses.fields(Potential)] == ["kind", "beta"]
+        with pytest.raises(TypeError):
+            Potential("beta", 1.5, domain_lower_dual=-math.inf)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            beta_potential(1.5).beta = 3.0
+
+    @pytest.mark.parametrize("kind, beta", [
+        ("typo", None), ("Beta", 1.5), ("beta", 1.0), ("beta", 0.5), ("beta", -2.0),
+        ("beta", math.inf), ("beta", math.nan), ("beta", None), ("shannon", 1.2),
+        ("sq_euclidean", 2.0),
+    ])
+    def test_inconsistent_generators_cannot_be_built(self, kind, beta):
+        with pytest.raises(DomainError):
+            Potential(kind, beta)
+
+    def test_the_bound_of_the_beta_kind_holds(self):
+        # A stored bound once read -inf here, and psi_prime returned 0.0.
+        with pytest.raises(DomainError):
+            psi_prime(-5.0, Potential("beta", 1.5))
 
 
 class TestGeneratorValues:
@@ -274,8 +309,23 @@ class TestBregmanDivergence:
                 generic = phi(p, pot) - phi(q, pot) - (p - q) * phi_prime(q, pot)
                 assert bregman_div(p, q, pot) == pytest.approx(generic, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("pot", [beta_potential(1.2), beta_potential(3.0), shannon(),
+                                     squared_euclidean()], ids=["beta 1.2", "beta 3", "shannon",
+                                                                "sq_euclidean"])
+    def test_nonnegative_near_zero(self, pot):
+        # phi(q) rounds to phi(0) here, so the generic form is -(p - q) phi'(q)
+        # alone and negative; the closed forms stay nonnegative.
+        q = np.array([1e-300, 1e-310, 5e-324, 1e-200, 1e-100, 1e-20])
+        p = np.zeros_like(q)
+        assert np.all(bregman_div(p, q, pot) >= 0.0)
+        generic = phi(p, pot) - phi(q, pot) - (p - q) * phi_prime(q, pot)
+        assert np.any(generic < 0.0)
+        assert all(bregman_div(0.0, x, pot) >= 0.0 for x in q)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             bregman_div(-1.0, 1.0, beta_potential(1.5))
+        with pytest.raises(DomainError):
+            bregman_div(1.0, -1.0, beta_potential(1.5))
         with pytest.raises(DomainError):
             bregman_div(1.0, 0.0, shannon())

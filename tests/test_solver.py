@@ -54,6 +54,7 @@ from betaot.solver import (
     PlanEntries,
     _dense_plan,
     _line_shift,
+    _line_sums,
     _restart,
 )
 
@@ -1121,6 +1122,25 @@ class TestSummationRule:
             float(np.abs(columns - 1.0 / n).sum()),
         )
         assert _bits(*marginal_residuals(pi, m, n)) == _bits(*residuals)
+
+    @settings(max_examples=200, deadline=None)
+    @given(diagnostic_instances(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_line_sums_of_entries_and_dense_plan_agree(self, instance, seed, weighted):
+        # Entries of both signs cancel, so any other order of a line's
+        # terms shows; + 0.0 maps the -0.0 of a dense line of -0.0 to the
+        # +0.0 that bincount starts from.
+        pi, gamma = instance
+        m, n = pi.shape
+        pi *= np.where(np.random.default_rng(seed).random((m, n)) < 0.5, -1.0, 1.0)
+        index = np.flatnonzero(pi)
+        entries = PlanEntries((m, n), index, pi.reshape(-1)[index])
+        event(f"{'weighted' if weighted else 'plain'}, "
+              f"{'C' if pi.flags.c_contiguous else 'F'}-ordered, n {'> 1' if n > 1 else '= 1'}")
+        for axis, lines, costs in ((1, pi, gamma), (0, pi.T, gamma.T)):
+            expected = _sequential_sums(lines * costs if weighted else lines) + 0.0
+            dense = _line_sums(pi, axis, gamma if weighted else None) + 0.0
+            sparse = _line_sums(entries, axis, np.take(gamma, index) if weighted else None) + 0.0
+            assert _bits(*dense) == _bits(*sparse) == _bits(*expected)
 
     def test_dense_diagnostics_allocate_no_dense_matrix(self):
         # np.sum(pi * gamma) alone would allocate 8 MB here.
