@@ -36,7 +36,7 @@ from .errors import (
     DomainError,
     InfeasibleToleranceError,
 )
-from .solver import _BLOCK_ROWS, SolverConfig, iteration_budget
+from .solver import _BLOCK_ROWS, _CERTIFIED_T_LIMIT, SolverConfig, iteration_budget
 from .solver import _count, _decrement_sum, _validate_cost
 
 # Offset added to the inverted budget target so the re-evaluated bound
@@ -192,7 +192,9 @@ def auto_scale(cost, z: float, cfg: SolverConfig, target_range: tuple[int, int])
     A :class:`SqEuclideanCost` comes back rescaled and still unevaluated;
     a dense cost whose scaled entries overflow raises ``ValueError``.
     An empty, non-2-D or non-finite dense cost raises :class:`DimensionMismatchError`
-    or ``ValueError``, and range ends that are not counts :class:`DomainError`.
+    or ``ValueError``, range ends that are not counts :class:`DomainError`,
+    and a range that reaches ``2**49``, the least budget that
+    :func:`robust_solve` refuses, :class:`AutoScaleError`.
     """
     lazy = isinstance(cost, SqEuclideanCost)
     gamma = cost if lazy else _validate_cost(cost)
@@ -201,6 +203,11 @@ def auto_scale(cost, z: float, cfg: SolverConfig, target_range: tuple[int, int])
     lo, hi = (_count("target_range", end) for end in target_range)
     if lo > hi:
         raise ValueError(f"target range [{lo}, {hi}] must be nonempty")
+    if hi >= _CERTIFIED_T_LIMIT:
+        raise AutoScaleError(
+            f"target range [{lo}, {hi}] reaches 2**49, where the robust solver "
+            "refuses the iteration budget; choose targets below it"
+        )
     m, n = gamma.shape
 
     try:

@@ -3,10 +3,19 @@
 Point-cloud files are one point per row, comma-separated decimals, with
 an optional single header row (detected by a non-numeric first row).
 Cost matrices and plans are dense comma-separated rows without headers.
-Both are read by one reader: ``np.loadtxt``, else one line parser, so
-each error reads the same.  Plans are written with full round-trip
-precision and exact zeros as the literal ``0``: each entry is
-:func:`format_value` of it, ``repr`` of the float.
+Both are read by one reader.  Its fast path streams the file in chunks
+of whole lines, a few hundred KB each, checks each chunk's shape with
+one ``bytes.translate`` and parses it with ``np.fromstring`` as
+``np.longdouble``, glibc's correctly rounded ``strtold``; the rare
+values that its second rounding could get wrong are re-read by
+``float()`` (see :func:`_parse_piece`), so every value has the bits of
+``float(token)``.  Large files are parsed in two halves per chunk, on
+the calling thread and one helper thread, when two CPUs are usable.
+Any file that the fast path does not vouch for goes to the earlier
+reader: ``np.loadtxt``, else one line parser, so each error reads the
+same.  Plans are written with full round-trip precision and exact zeros
+as the literal ``0``: each entry is :func:`format_value` of it, ``repr``
+of the float.
 
 The writers format blocks of about ``_BLOCK_ENTRIES`` entries (whole
 rows) with one numpy kernel, ``_ryu.csv_rows``, which gives ``repr``'s
@@ -21,11 +30,12 @@ diffs, plus a JSON sidecar with the same fields.
 
 import hashlib
 import json
+import os
 from collections import namedtuple
 
 import numpy as np
 
-from . import _ryu
+from . import _ryu, solver
 from .errors import FormatError
 
 # Entries per written block: the kernel's arrays for one block stay
@@ -87,7 +97,10 @@ def read_cost_matrix(path) -> np.ndarray:
 
 
 def _read_table(path, table: _Table) -> np.ndarray:
-    """The finite table at ``path``: ``np.loadtxt`` if it reads it, else the line parser."""
+    """The finite table at ``path``: the fast path, else ``np.loadtxt``, else the line parser."""
+    rows = _fast_table(path, table)
+    if rows is not None:
+        return rows
     with open(path, "r", encoding="utf-8") as fh:
         pos, first = _next_line(fh)
         if first is not None:
@@ -101,6 +114,160 @@ def _read_table(path, table: _Table) -> np.ndarray:
                 return rows
         fh.seek(0)
         return _parse_table(path, fh, table)
+
+
+# Bytes of whole lines parsed per chunk: a chunk's text, its longdouble
+# values and their temporaries stay within 2-4 MB.
+_CHUNK_BYTES = 1 << 19
+
+# From this many bytes of rows on, a chunk is parsed as two halves on two
+# threads when two CPUs are usable; numpy releases the GIL in the parse.
+# Measured on a 2-vCPU Xeon guest (rows of 1000 costs written with
+# ``%.17g``, one chunk): one thread against two took 0.49 against 0.56 ms
+# at 39 KB, 0.73 against 0.69 ms at 77 KB, 1.9 against 1.2 ms at 134 KB,
+# and 0.27 against 0.16 s for a whole 19 MB file.  The threshold sits
+# higher, so that small files such as ``detect``'s point clouds (about
+# 200 KB) do not pay the first two-half read's import of
+# ``concurrent.futures`` (about 11 ms, once per process) for about 1 ms.
+_TWO_HALF_BYTES = 1 << 20
+
+# The characters of the numbers the fast path reads; deleting them from
+# valid rows leaves only the commas and line ends.
+_NUMBER_CHARS = b"0123456789.eE+-"
+
+# Whether np.longdouble is x87's 80-bit format, little-endian in 16 bytes
+# (1.5 is significand 0xC000000000000000, biased exponent 0x3FFF): the
+# layout that _parse_piece reads the bits of.
+_X87 = (np.dtype(np.longdouble).itemsize == 16
+        and np.array(1.5, np.longdouble).tobytes()[:10] == bytes(7) + b"\xc0\xff\x3f")
+
+# x87's biased exponent of the smallest normal double, 2**-1022.
+_X87_MIN_NORMAL_EXPONENT = 0x3FFF - 1022
+
+
+class _Declined(Exception):
+    """The fast path does not vouch for a piece; the earlier reader reads the file."""
+
+
+def _fast_table(path, table: _Table):
+    """The table at ``path`` read in chunks by ``strtold``, or None.
+
+    None when the first line is blank or holds a CR, when ``np.longdouble``
+    is not x87's format, or when a piece of a chunk fails its check,
+    ``np.fromstring`` stops early (a ``ValueError``, or a
+    ``DeprecationWarning`` that the warning filters raise) or a value is
+    not finite: the earlier reader then reads the file, so every error
+    and header rule stays its own.  Each chunk is ``k`` pieces of whole
+    lines, parsed by
+    :func:`_parse_piece` on ``solver._block_runner(k)``; this thread then
+    casts their values straight into one output, sized from the first
+    chunk and the file's length, so the read holds the table and about
+    one chunk.
+    """
+    if not _X87:
+        return None
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        try:
+            text = first.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        if not text.strip() or "\r" in text:
+            return None
+        if not table.header or _parse_numeric_row(text.strip()) is not None:
+            fh.seek(0)
+        start = fh.tell()
+        size = os.fstat(fh.fileno()).st_size - start
+        k = 2 if size >= _TWO_HALF_BYTES and solver._usable_cpus() >= 2 else 1
+        line = b"," * text.count(",") + b"\n"
+        out, count = np.empty(0), 0
+        try:
+            with solver._block_runner(k) as run:
+                while jobs := _next_chunk(fh, k):
+                    run(_parse_piece, jobs, line)
+                    total = count + sum(job[0].size for job in jobs)
+                    if total > out.size:
+                        # The file so far predicts the rest.
+                        out.resize(max(total, total * size // (fh.tell() - start)), refcheck=False)
+                    while jobs:  # emptied, so that no chunk outlives its turn
+                        count = _cast(out, count, *jobs.pop(0))
+        except (_Declined, ValueError, DeprecationWarning):
+            return None
+    out.resize(count, refcheck=False)
+    return out.reshape(-1, len(line))
+
+
+def _next_chunk(fh, k: int) -> list:
+    """The next ``k`` pieces of whole lines of ``fh``, each in a list of its own; [] at the end."""
+    jobs = [[fh.read(_CHUNK_BYTES // k) + fh.readline()] for _ in range(k)]
+    return jobs if jobs[0][0] else []
+
+
+def _cast(out, at: int, values, redo, exact) -> int:
+    """Store a piece's values as doubles in ``out`` from ``at`` on; the end of the piece."""
+    dest = out[at:at + values.size]
+    with np.errstate(over="ignore"):  # an infinity declines below
+        dest[...] = values
+    dest[redo] = exact
+    if not np.isfinite(dest).all():
+        raise _Declined
+    return at + values.size
+
+
+def _parse_piece(job, line):
+    """Check and parse the rows ``job[0]``; ``job`` then holds their
+    longdouble values, the positions of those to re-read, and the values
+    re-read.
+
+    The piece is checked whole: deleting the characters of numbers from
+    it must leave ``line * rows``, ``line`` being ``dim - 1`` commas and
+    a line end.  That rules out any other character, a ragged or blank
+    line, CR and whitespace, and each of the ``len(line) * rows`` fields
+    ends in one separator.
+
+    ``np.fromstring`` reads each token by ``strtold``, which rounds its
+    exact value x to L, the nearest number with a 64-bit significand; the
+    cast to float64 then rounds L to the nearest double.  That gives x's
+    nearest double, as ``float()`` does, unless L is a midpoint of two
+    adjacent doubles.  Every double and every midpoint p has at most 54
+    significant bits, so x87's format holds it, 2**1024 beyond the
+    largest double included.  Rounding is monotone and keeps such p
+    fixed, so x < p gives L <= p and x > p gives L >= p.  So when L is no
+    midpoint, L and x lie on the same side of every midpoint and round to
+    the same double (or both overflow, and the read declines as not
+    finite).  For |L| at or above the smallest normal double, L is a
+    midpoint exactly when its significand ends in the 11 bits ``0x400``
+    (the 54th bit set, the ten below clear).  Below it the doubles are
+    spaced more widely than 53 bits, so every nonzero L there counts.
+    These tokens are re-read by ``float()``.
+
+    Text written with ``%.17g`` never has one: its error is under 5e-17
+    of the value and a midpoint lies over 2**-54 (5.55e-17) of it away,
+    so L stays about a hundred 64-bit units clear of any midpoint.
+    """
+    piece = job[0]
+    if piece and not piece.endswith(b"\n"):  # the file's last line, unterminated
+        piece += b"\n"
+    skeleton = piece.translate(None, _NUMBER_CHARS)
+    rows = len(skeleton) // len(line)
+    if skeleton != line * rows:
+        raise _Declined
+    text = piece.replace(b"\n", b",")
+    values = np.fromstring(text, dtype=np.longdouble, sep=",")
+    # Where a token is malformed the parse stops after it: numpy raises
+    # ValueError, or in older releases warns and returns the values so
+    # far.  Then the count falls short, or the token is the last one,
+    # which float() checks (it takes the numbers that strtold reads whole).
+    if values.size != len(skeleton):
+        raise _Declined
+    if values.size:
+        float(text[text.rfind(b",", 0, -1) + 1:-1])
+    words = values.view(np.uint64)
+    significand, exponent = words[0::2], words[1::2] & 0x7FFF
+    redo = np.flatnonzero(((significand & 0x7FF) == 0x400)
+                          | ((exponent < _X87_MIN_NORMAL_EXPONENT) & (significand != 0)))
+    tokens = text.split(b",") if redo.size else []
+    job[:] = values, redo, [float(tokens[i]) for i in redo]
 
 
 def _parse_table(path, fh, table: _Table) -> np.ndarray:

@@ -639,6 +639,18 @@ class TestUnfinishableBudget:
         assert error.startswith("error: no scale places the iteration budget inside ")
         assert not out.exists()
 
+    def test_auto_scale_range_reaching_the_solver_limit_exits_three(self, tmp_path, capsys):
+        cost, out = tmp_path / "c.csv", tmp_path / "plan.csv"
+        cost.write_text("0,1\n1,0\n")
+        code = run_cli("solve", "--z", "30", "--auto-scale", "--target-T",
+                       "1000000000000000..2000000000000000", "--cost", cost, "--out", out)
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: target range [1000000000000000, 2000000000000000] reaches 2**49, where "
+            "the robust solver refuses the iteration budget; choose targets below it"
+        ]
+        assert not out.exists()
+
     def test_auto_scale_still_rescales_into_the_target_range(self, tmp_path):
         cost, out = tmp_path / "c.csv", tmp_path / "plan.csv"
         cost.write_text("0,1\n1,0\n")

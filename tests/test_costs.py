@@ -411,6 +411,19 @@ class TestAutoScale:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
+    @pytest.mark.parametrize("target", [(2**49, 2**49), (10**15, 2 * 10**15), (1, 2**49)])
+    def test_range_reaching_the_solver_limit_fails(self, target):
+        # robust_solve refuses any budget from 2**49 on, so such a target cannot be solved.
+        message = re.escape(f"target range [{target[0]}, {target[1]}] reaches 2**49")
+        with pytest.raises(AutoScaleError, match=message):
+            auto_scale(np.array([[0.0, 1.0], [1.0, 0.0]]), 30.0, SolverConfig(), target)
+
+    def test_range_just_below_the_solver_limit_still_scales(self):
+        cfg = SolverConfig()
+        _, _, scaled_z = auto_scale(np.array([[0.0, 1.0], [1.0, 0.0]]), 30.0, cfg,
+                                    (2**48, 2**49 - 1))
+        assert 2**48 <= iteration_budget(scaled_z, cfg, 2, 2).budget < 2**49
+
     def test_scaled_dense_cost_beyond_the_floats_names_the_scaled_cost(self):
         with pytest.raises(ValueError, match=_SCALED_NOT_FINITE):
             auto_scale(np.array([[1e308, 0.0], [0.0, 1.0]]), 20.0, SolverConfig(), (1, 20))

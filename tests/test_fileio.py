@@ -2,18 +2,21 @@
 writers and their numpy kernel against ``format_value``."""
 
 import builtins
+import contextlib
 import math
 import os
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -85,9 +88,9 @@ def _same(fast, slow):
 
 
 def _compare(text, read):
-    """``read`` against itself with the ``np.loadtxt`` fast path turned off.
+    """``read`` against itself with the ``strtold`` and ``np.loadtxt`` paths turned off.
 
-    Without the fast path every file goes through the one line parser
+    Without them every file goes through the one line parser
     (``fileio._parse_table``), and ``read_cost_matrix`` still adds its
     negativity check to what the parser returns.
     """
@@ -96,7 +99,8 @@ def _compare(text, read):
         with os.fdopen(fd, "wb") as fh:
             fh.write(text.encode("utf-8"))
         fast = _outcome(read, path)
-        with mock.patch.object(fileio, "_load_rows", lambda fh, pos: None):
+        with mock.patch.object(fileio, "_fast_table", lambda path, table: None), \
+                mock.patch.object(fileio, "_load_rows", lambda fh, pos: None):
             reference = _outcome(read, path)
     finally:
         os.unlink(path)
@@ -123,6 +127,154 @@ class TestFastReaderMatchesLineParser:
         path.write_text("x0,x1,x2\n\n")
         assert read_point_cloud(path).shape == (0, 3)
         assert not recwarn.list
+
+
+def _midpoint(d: float, side: int) -> str:
+    """The exact decimal midpoint of ``d`` and the next double up, times ``1 + side * 1e-40``."""
+    with localcontext(Context(prec=1200)):  # exact: a double has at most 767 digits
+        top = d == sys.float_info.max  # its upper neighbour is 2**1024, beyond the doubles
+        up = Decimal(2) ** 1024 if top else Decimal(float(np.nextafter(d, np.inf)))
+        return str((Decimal(d) + up) / 2 * (1 + side * Decimal("1e-40")))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SIGNS = st.sampled_from(["", "-", "+"])
+TOKENS = st.one_of(
+    FINITE.map(repr),
+    FINITE.map(lambda x: "%.17g" % x),
+    st.builds("{}{}e{}".format, SIGNS, st.integers(0, 10**4), st.integers(-30, 30)),
+    st.builds("{}{}.{}e{}".format, SIGNS, st.integers(0, 9),
+              st.text("0123456789", min_size=20, max_size=40), st.integers(-340, 320)),
+    st.builds(_midpoint, FINITE, st.sampled_from([-1, 0, 1])),
+    st.floats(-3e-308, 3e-308).map(repr),
+    st.sampled_from(["2.4703282292062327e-324", "2.4703282292062328e-324", "1e-400", "-0",
+                     "1.7976931348623158e308", "1.7976931348623159e308", "1e309", "-1e400"]),
+)
+# Ties of the second rounding: to even gives 1.0 where 1 + 2**-52 is nearest, and the reverse.
+TIES = [_midpoint(1.0, 1), _midpoint(1.0 + 2**-52, -1), _midpoint(-1.0 - 2**-52, 1),
+        _midpoint(sys.float_info.max, -1), _midpoint(2.0**-1022, -1)]
+
+
+def _fast(text: str, **patches):
+    """``fileio._fast_table`` on a point-cloud file holding ``text``."""
+    fd, path = tempfile.mkstemp(suffix=".csv")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("ascii"))
+        with mock.patch.multiple(fileio, **patches) if patches else contextlib.nullcontext():
+            return fileio._fast_table(path, fileio._POINTS)
+    finally:
+        os.unlink(path)
+
+
+class TestStrtoldPathMatchesFloat:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TOKENS, min_size=1, max_size=30), st.booleans())
+    @example(TIES, False)
+    @example(TIES, True)
+    def test_every_value_has_the_bits_of_float(self, tokens, column):
+        text = ("\n" if column else ",").join(tokens) + "\n"
+        expected = np.array([float(tok) for tok in tokens])
+        # The default chunks, and chunks of a few lines in two halves on two threads.
+        for patches in ({}, {"_CHUNK_BYTES": 64, "_TWO_HALF_BYTES": 0}):
+            with mock.patch.object(solver, "_usable_cpus", lambda: 2):
+                got = _fast(text, **patches)
+            if not np.isfinite(expected).all():
+                assert got is None
+                continue
+            assert got is not None and got.shape == ((len(tokens), 1) if column
+                                                     else (1, len(tokens)))
+            assert got.reshape(-1).tobytes() == expected.tobytes(), (tokens, patches)
+
+    def test_a_file_without_the_last_line_end_reads_whole(self):
+        assert _fast("1,2\n3,4").tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("text", ["1,2\r\n3,4\r\n", "1,2\n3\n", "1,2\n\n3,4\n", " 1,2\n",
+                                      "1,2\n1,,2\n", "0\n1.2.3\n", "0\n1e\n", "1,2\n3,1e999\n",
+                                      "\n1\n"])
+    def test_what_it_does_not_vouch_for_goes_to_the_earlier_reader(self, text):
+        assert _fast(text) is None
+
+
+def _matrix_file(tmp_path, m=40, n=50):
+    """A cost CSV of random entries and the matrix it holds, bit for bit."""
+    mat = np.random.default_rng(11).uniform(0.0, 10.0, size=(m, n))
+    path = tmp_path / "cost.csv"
+    write_matrix(path, mat)
+    return path, mat
+
+
+class TestStrtoldPathThreads:
+    """Small chunks and no size threshold, so every read runs many two-half steps."""
+
+    @pytest.fixture(autouse=True)
+    def _small_chunks(self, monkeypatch):
+        monkeypatch.setattr(fileio, "_CHUNK_BYTES", 2048)
+        monkeypatch.setattr(fileio, "_TWO_HALF_BYTES", 0)
+
+    def test_one_cpu_starts_no_thread(self, tmp_path, monkeypatch):
+        path, mat = _matrix_file(tmp_path)
+
+        def refusing(*args, **kwargs):
+            raise AssertionError("a one-CPU read started a thread")
+
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(threading, "Thread", refusing)
+        assert read_cost_matrix(path).tobytes() == mat.tobytes()
+
+    def test_two_cpus_join_the_helper_on_return(self, tmp_path, monkeypatch):
+        path, mat = _matrix_file(tmp_path)
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        assert read_cost_matrix(path).tobytes() == mat.tobytes()
+        assert len(started) == 1 and not started[0].is_alive()
+
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_an_error_in_either_half_is_raised_once_both_are_done(self, tmp_path, monkeypatch,
+                                                                   failing):
+        path, _ = _matrix_file(tmp_path)
+        parse, finished, helpers = fileio._parse_piece, [], set()
+
+        def piece(job, line):
+            on_helper = threading.current_thread() is not threading.main_thread()
+            if on_helper:
+                helpers.add(threading.current_thread())
+            if on_helper == (failing == "helper"):
+                raise RuntimeError(f"the {failing} half failed")
+            time.sleep(0.05)
+            parse(job, line)
+            finished.append(on_helper)
+
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(fileio, "_parse_piece", piece)
+        with pytest.raises(RuntimeError, match=f"the {failing} half failed"):
+            read_cost_matrix(path)
+        # The other half ran to its end, and the helper thread is gone.
+        assert finished == [failing == "caller"]
+        (helper,) = helpers
+        assert not helper.is_alive()
+
+
+class TestStrtoldPathMemory:
+    def test_a_large_read_holds_the_table_and_a_few_mb(self, tmp_path, monkeypatch):
+        # The 1000 x 1000 table is 8 MB; a chunk's text and values add about 2 MB.
+        path, mat = _matrix_file(tmp_path, 1000, 1000)
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+        tracemalloc.start()
+        try:
+            gamma = read_cost_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gamma.tobytes() == mat.tobytes()
+        assert peak < mat.nbytes + 4_000_000
 
 
 # Values where the written text changes form: signed zeros, the smallest
